@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import selftest
 from .config import RingSettings
@@ -88,9 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_ring(args):
     settings = RingSettings.from_file(args.config) if args.config else RingSettings()
     if args.field:
-        import dataclasses
-
-        settings = dataclasses.replace(settings, field_spec=args.field)
+        settings = replace(settings, field_spec=args.field)
     return settings.build()
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import PrecisionError
 from .ring import AkizukiRing, NormalForm
-from .series import TruncatedSeries
+from .series import TruncatedSeries, raise_pair, strip_common_t
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,7 @@ class CohomologyClass:
                 f"numerator level {numerator.level} below exponent {exponent}"
             )
         f = numerator.truncate(exponent)
-        field = f.ring.field
-        x, y, n = f.x, f.y, exponent
-        while n > 1 and field.is_zero(x.coeffs[0]) and field.is_zero(y.coeffs[0]):
-            x, y, n = x.shift(-1), y.shift(-1), n - 1
-        return cls(f.ring.nf(x, y))
+        return cls(f.ring.nf(*strip_common_t(f.x, f.y)))
 
     @classmethod
     def zero(cls, ring: AkizukiRing) -> "CohomologyClass":
@@ -66,11 +62,8 @@ class CohomologyClass:
 
     def raised_numerator(self, n: int) -> NormalForm:
         """The numerator over the larger denominator t^n (t^{n-e} * f)."""
-        k = n - self.exponent
-        if k < 0:
-            raise PrecisionError(f"cannot lower exponent {self.exponent} to {n}")
         f = self.numerator
-        return f.ring.nf(f.x.promote(k), f.y.promote(k))
+        return f.ring.nf(*raise_pair(f.x, f.y, n, "exponent"))
 
     def equivalent(self, other: "CohomologyClass") -> bool:
         """Equality checked by raising to a common denominator (does not

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .errors import ParseError
-from .fields import PrimeField, RationalField
+from .fields import PrimeField, RationalField, parse_int
 from .ring import MINIMAL, AkizukiRing
 
 DEFAULT_PRECISION = 31
@@ -61,7 +61,7 @@ class RingSettings:
             elif key == "precision":
                 if not re.fullmatch(r"\d+", value):
                     raise ParseError(f"config line {lineno}: bad precision {value!r}")
-                settings = replace(settings, precision=int(value))
+                settings = replace(settings, precision=parse_int(value))
             elif key == "exponents":
                 if value == MINIMAL:
                     settings = replace(settings, exponents=MINIMAL)
@@ -84,8 +84,13 @@ class RingSettings:
 
     @classmethod
     def from_file(cls, path) -> "RingSettings":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+            raise ParseError(f"cannot read config file {path}: {reason}") from None
+        return cls.from_text(text)
 
     def build(self) -> AkizukiRing:
         field = parse_field_spec(self.field_spec)

@@ -17,8 +17,9 @@ assignment
     class omega  |-->  (f |--> residue of f * omega)
 
 is A-linear in omega, and when rho is a unit it is an isomorphism onto the
-continuous dual; its inverse is computed in closed form below by inverting
-the 2x2 matrix that expresses (alpha, beta) in terms of (x, y).
+continuous dual.  In the basis 1, w - u of the numerator (u = t s_r, so
+(w - u)^2 = 0) the map is triangular, and its inverse below solves the
+triangle with a single inversion of d = rho - u sigma.
 
 Composing the forward map of one pair with the inverse of another yields a
 ring structure on pairs: the completed ring
@@ -37,7 +38,8 @@ from typing import Callable
 from .cohomology import CohomologyClass
 from .errors import AlgebraError, NotInvertibleError, PrecisionError
 from .ring import AkizukiRing, NormalForm
-from .series import LaurentTail, TruncatedSeries
+from .series import LaurentTail, TruncatedSeries, check_components, dual_mul
+from .series import raise_pair, strip_common_t
 
 
 @dataclass(frozen=True)
@@ -49,18 +51,7 @@ class ResiduePair:
     rho: TruncatedSeries
 
     def __post_init__(self):
-        if self.sigma.field != self.ring.field or self.rho.field != self.ring.field:
-            raise PrecisionError("pair fields differ from the ring field")
-        if self.sigma.precision != self.rho.precision:
-            raise PrecisionError(
-                f"pair precisions differ: {self.sigma.precision} vs "
-                f"{self.rho.precision}"
-            )
-        if self.sigma.precision > self.ring.precision:
-            raise PrecisionError(
-                f"pair precision {self.sigma.precision} exceeds working "
-                f"precision {self.ring.precision}"
-            )
+        check_components(self, self.sigma, self.rho)
 
     @property
     def precision(self) -> int:
@@ -83,62 +74,56 @@ class ResiduePair:
     # ------------------------------------------------------------------
     # the three maps
 
+    def _window(self, n: int, what: str):
+        """sigma and rho mod t^n, for an argument of level n."""
+        if n > self.precision:
+            raise PrecisionError(f"{what} {n} exceeds pair precision {self.precision}")
+        return self.sigma.truncate(n), self.rho.truncate(n)
+
     def residue(self, omega: CohomologyClass) -> LaurentTail:
         """The value of the residue map on a class."""
         n = omega.exponent
-        if n > self.precision:
-            raise PrecisionError(
-                f"class exponent {n} exceeds pair precision {self.precision}"
-            )
+        sig, rho = self._window(n, "class exponent")
         f = omega.numerator
-        num = f.x * self.sigma.truncate(n) + f.y * self.rho.truncate(n)
-        return num.principal_part(n)
+        return (f.x * sig + f.y * rho).principal_part(n)
 
     def forward(self, omega: CohomologyClass, r_index: int | None = None) -> "ContinuousHom":
         """The continuous hom obtained by pairing against omega.
 
-        Its value at 1 is the residue of omega itself; its value at w uses
-        the rewriting rule once:  w * gf(x; y; n) = gf(-y t^2 s_r^2;
-        x + 2 y t s_r; n).
+        Its value at 1 is the residue alpha = x sigma + y rho of omega
+        itself; its value at w uses the rewriting rule once.  With u = t s_r,
+        a = x + u y and d = rho - u sigma, these are
+
+            alpha = a sigma + y d,    beta = a d + u alpha.
         """
         n = omega.exponent
-        if n > self.precision:
-            raise PrecisionError(
-                f"class exponent {n} exceeds pair precision {self.precision}"
-            )
+        sig, rho = self._window(n, "class exponent")
         f = omega.numerator
-        sig, rho = self.sigma.truncate(n), self.rho.truncate(n)
         u = self.ring.t_partial_sum(n, r_index)
-        alpha = f.x * sig + f.y * rho
-        beta = f.x * rho + f.y * ((u * rho).scale(2) - (u * u) * sig)
-        return ContinuousHom.make(self.ring, alpha, beta)
+        a = f.x + u * f.y
+        d = rho - u * sig
+        alpha = a * sig + f.y * d
+        return ContinuousHom.make(self.ring, alpha, a * d + u * alpha)
 
     def inverse(self, hom: "ContinuousHom", r_index: int | None = None) -> CohomologyClass:
         """The class sent to a given continuous hom (requires rho a unit).
 
-        With u = t s_r and d = rho - u sigma, inverting the transition
-        matrix gives
+        The forward map is triangular (see ``forward``), so with
+        u = t s_r and d = rho - u sigma, a unit exactly when rho is,
 
-            x = (alpha u (sigma u - 2 rho) + beta rho) / d^2,
-            y = (alpha rho - beta sigma) / d^2.
+            a = (beta - u alpha) / d,  y = (alpha - a sigma) / d,  x = a - u y.
         """
         if not self.is_invertible():
             raise NotInvertibleError(
                 "rho is not a unit, so the duality map has no inverse"
             )
         n = hom.level
-        if n > self.precision:
-            raise PrecisionError(
-                f"hom level {n} exceeds pair precision {self.precision}"
-            )
-        sig, rho = self.sigma.truncate(n), self.rho.truncate(n)
+        sig, rho = self._window(n, "hom level")
         u = self.ring.t_partial_sum(n, r_index)
-        d = rho - u * sig
-        e = (d * d).invert()
-        alpha, beta = hom.alpha, hom.beta
-        x = (alpha * u * (sig * u - rho.scale(2)) + beta * rho) * e
-        y = (alpha * rho - beta * sig) * e
-        return CohomologyClass.make(self.ring.nf(x, y), n)
+        e = (rho - u * sig).invert()
+        a = (hom.beta - u * hom.alpha) * e
+        y = (hom.alpha - a * sig) * e
+        return CohomologyClass.make(self.ring.nf(a - u * y, y), n)
 
     # ------------------------------------------------------------------
 
@@ -165,18 +150,7 @@ class ContinuousHom:
     beta: TruncatedSeries
 
     def __post_init__(self):
-        if self.alpha.field != self.ring.field or self.beta.field != self.ring.field:
-            raise PrecisionError("hom fields differ from the ring field")
-        if self.alpha.precision != self.beta.precision:
-            raise PrecisionError(
-                f"hom numerator precisions differ: {self.alpha.precision} vs "
-                f"{self.beta.precision}"
-            )
-        if self.alpha.precision > self.ring.precision:
-            raise PrecisionError(
-                f"hom level {self.alpha.precision} exceeds working precision "
-                f"{self.ring.precision}"
-            )
+        check_components(self, self.alpha, self.beta)
 
     @property
     def level(self) -> int:
@@ -185,11 +159,7 @@ class ContinuousHom:
     @classmethod
     def make(cls, ring: AkizukiRing, alpha: TruncatedSeries, beta: TruncatedSeries) -> "ContinuousHom":
         """Canonicalize to the least level and wrap."""
-        field = ring.field
-        n = alpha.precision
-        while n > 1 and field.is_zero(alpha.coeffs[0]) and field.is_zero(beta.coeffs[0]):
-            alpha, beta, n = alpha.shift(-1), beta.shift(-1), n - 1
-        return cls(ring, alpha, beta)
+        return cls(ring, *strip_common_t(alpha, beta))
 
     @classmethod
     def zero(cls, ring: AkizukiRing) -> "ContinuousHom":
@@ -211,10 +181,7 @@ class ContinuousHom:
         return (g.x * self.alpha + g.y * self.beta).principal_part(self.level)
 
     def raised_numerators(self, n: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-        k = n - self.level
-        if k < 0:
-            raise PrecisionError(f"cannot lower level {self.level} to {n}")
-        return self.alpha.promote(k), self.beta.promote(k)
+        return raise_pair(self.alpha, self.beta, n)
 
     def equivalent(self, other: "ContinuousHom") -> bool:
         """Equality as maps, checked at a common level."""
@@ -229,8 +196,7 @@ class ContinuousHom:
         if other.ring is not self.ring:
             raise ValueError("homs belong to different ring instances")
         n = max(self.level, other.level)
-        a1, b1 = self.raised_numerators(n)
-        a2, b2 = other.raised_numerators(n)
+        (a1, b1), (a2, b2) = self.raised_numerators(n), other.raised_numerators(n)
         return ContinuousHom.make(self.ring, a1 + a2, b1 + b2)
 
     def __neg__(self):
@@ -286,16 +252,7 @@ class CompletionElement:
     sigma: TruncatedSeries
 
     def __post_init__(self):
-        if self.rho.field != self.ring.field or self.sigma.field != self.ring.field:
-            raise PrecisionError("component fields differ from the ring field")
-        if (
-            self.rho.precision != self.ring.precision
-            or self.sigma.precision != self.ring.precision
-        ):
-            raise PrecisionError(
-                "completion elements live at full working precision "
-                f"{self.ring.precision}"
-            )
+        check_components(self, self.rho, self.sigma, full=True)
 
     @classmethod
     def one(cls, ring: AkizukiRing) -> "CompletionElement":
@@ -348,13 +305,13 @@ class CompletionElement:
         return CompletionElement(self.ring, -self.rho, -self.sigma)
 
     def __mul__(self, other):
-        """The closed product: (r1 + s1 X)(r2 + s2 X) with X^2 = -2wX - w^2."""
+        """The closed product: (r1 + s1 X)(r2 + s2 X) with X^2 = -2wX - w^2,
+        i.e. (X - c)^2 = 0 for c = -w."""
         self._compat(other)
-        w = self.ring.w
-        ss = self.sigma * other.sigma
-        rho = self.rho * other.rho - ss * (w * w)
-        sigma = self.sigma * other.rho + other.sigma * self.rho - (ss * w).scale(2)
-        return CompletionElement(self.ring, rho, sigma)
+        return CompletionElement(
+            self.ring,
+            *dual_mul(self.rho, self.sigma, other.rho, other.sigma, -self.ring.w),
+        )
 
     def mul_via_composition(self, other: "CompletionElement", unit: "CompletionElement") -> "CompletionElement":
         """The same product computed operationally, relative to a unit.

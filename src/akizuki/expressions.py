@@ -4,20 +4,28 @@ Grammar: atoms ``t``, ``w``, ``g0``, ``g1``, ...; integer constants;
 operators ``+ - * /``; parentheses; ``^`` with a nonnegative integer
 exponent.  Rational constants are spelled as quotients (``1/2``), which the
 evaluator resolves by local division, so they need no dedicated literal.
+Parentheses and unary signs nest at most MAX_NESTING deep.
 
-Two evaluators are provided: ``eval_nf`` works through normal forms (the
-ring's own arithmetic), while ``eval_series`` evaluates the same expression
-directly in the completed DVR and serves as an independent cross-check.
+Two evaluators share one walk over the tree: ``eval_nf`` works through
+normal forms (the ring's own arithmetic), while ``eval_series`` evaluates
+the same expression directly in the completed DVR and serves as an
+independent cross-check.  They differ only in their leaves.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 from .errors import ParseError
+from .fields import parse_int
 from .ring import AkizukiRing, NormalForm
 from .series import TruncatedSeries
+
+# Each level of parentheses costs the recursive-descent parser five Python
+# frames; this bound keeps parsing well inside the default recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -67,9 +75,9 @@ def _tokenize(text: str) -> list:
         if bad is not None:
             raise ParseError(f"unexpected character {bad!r} in expression")
         if number is not None:
-            tokens.append(("num", int(number)))
+            tokens.append(("num", parse_int(number)))
         elif gen is not None:
-            tokens.append(("gen", int(gen[1:])))
+            tokens.append(("gen", parse_int(gen[1:])))
         elif atom is not None:
             tokens.append(("atom", atom))
         else:
@@ -82,6 +90,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -97,6 +106,15 @@ class _Parser:
         tok = self.take()
         if tok != ("op", op):
             raise ParseError(f"expected {op!r}, got {tok!r}")
+
+    def nested(self, parse):
+        """Run a sub-parser one nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.sum()
@@ -121,10 +139,10 @@ class _Parser:
     def signed(self):
         if self.peek() == ("op", "-"):
             self.take()
-            return Neg(self.signed())
+            return Neg(self.nested(self.signed))
         if self.peek() == ("op", "+"):
             self.take()
-            return self.signed()
+            return self.nested(self.signed)
         return self.power()
 
     def power(self):
@@ -146,7 +164,7 @@ class _Parser:
         if kind == "gen":
             return Gen(value)
         if (kind, value) == ("op", "("):
-            node = self.sum()
+            node = self.nested(self.sum)
             self.expect_op(")")
             return node
         raise ParseError(f"unexpected token {value!r}")
@@ -160,68 +178,78 @@ def parse_expression(text: str):
     return _Parser(tokens).parse()
 
 
+def _power(base, k: int):
+    """base^k for k >= 1 by left-to-right binary exponentiation: fewer than
+    2 log2(k) products."""
+    out = base
+    for bit in bin(k)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return out
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": lambda left, right: left * right.invert()}
+
+
+def _evaluate(root, leaf):
+    """Fold a tree bottom-up, left to right, with ``leaf`` valuing Num, Atom
+    and Gen; an explicit stack keeps long chains off the Python stack."""
+    todo, values = [(root, False)], []
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, (Num, Atom, Gen)):
+            values.append(leaf(node))
+        elif not isinstance(node, (Neg, Pow, BinOp)):
+            raise TypeError(f"not an expression node: {node!r}")
+        elif not ready:
+            todo.append((node, True))
+            if isinstance(node, BinOp):
+                todo += [(node.right, False), (node.left, False)]
+            else:
+                todo.append((node.arg if isinstance(node, Neg) else node.base, False))
+        elif isinstance(node, Neg):
+            values.append(-values.pop())
+        elif isinstance(node, Pow):
+            base, k = values.pop(), node.exponent
+            values.append(_power(base, k) if k else leaf(Num(1)))
+        else:
+            right = values.pop()
+            values.append(_BINARY[node.op](values.pop(), right))
+    return values[0]
+
+
 def eval_nf(node, ring: AkizukiRing, level: int) -> NormalForm:
     """Evaluate an AST to a normal form at the given level."""
     field = ring.field
-    if isinstance(node, Num):
-        return ring.constant_nf(field.from_int(node.value), level)
-    if isinstance(node, Atom):
+
+    def leaf(node):
+        if isinstance(node, Num):
+            return ring.constant_nf(field.from_int(node.value), level)
+        if isinstance(node, Gen):
+            return ring.generator_nf(node.index, level)
         if node.name == "t":
             return ring.nf(
                 TruncatedSeries.t_power(field, 1, level),
                 TruncatedSeries.zero(field, level),
             )
         return ring.w_nf(level)
-    if isinstance(node, Gen):
-        return ring.generator_nf(node.index, level)
-    if isinstance(node, Neg):
-        return -eval_nf(node.arg, ring, level)
-    if isinstance(node, Pow):
-        out = ring.one_nf(level)
-        base = eval_nf(node.base, ring, level)
-        for _ in range(node.exponent):
-            out = out * base
-        return out
-    if isinstance(node, BinOp):
-        left = eval_nf(node.left, ring, level)
-        right = eval_nf(node.right, ring, level)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left * right.invert()
-    raise TypeError(f"not an expression node: {node!r}")
+
+    return _evaluate(node, leaf)
 
 
 def eval_series(node, ring: AkizukiRing, level: int) -> TruncatedSeries:
     """Evaluate an AST directly in the completed DVR, mod t^level."""
     field = ring.field
-    if isinstance(node, Num):
-        return TruncatedSeries.constant(field, field.from_int(node.value), level)
-    if isinstance(node, Atom):
+
+    def leaf(node):
+        if isinstance(node, Num):
+            return TruncatedSeries.constant(field, field.from_int(node.value), level)
+        if isinstance(node, Gen):
+            return ring.generator_series(node.index, level)
         if node.name == "t":
             return TruncatedSeries.t_power(field, 1, level)
         return ring.w.truncate(level)
-    if isinstance(node, Gen):
-        return ring.generator_series(node.index, level)
-    if isinstance(node, Neg):
-        return -eval_series(node.arg, ring, level)
-    if isinstance(node, Pow):
-        out = TruncatedSeries.one(field, level)
-        base = eval_series(node.base, ring, level)
-        for _ in range(node.exponent):
-            out = out * base
-        return out
-    if isinstance(node, BinOp):
-        left = eval_series(node.left, ring, level)
-        right = eval_series(node.right, ring, level)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left * right.invert()
-    raise TypeError(f"not an expression node: {node!r}")
+
+    return _evaluate(node, leaf)

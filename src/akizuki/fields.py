@@ -18,6 +18,15 @@ from .errors import NotInvertibleError, ParseError
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?$")
 
 
+def parse_int(text: str) -> int:
+    """int(text) for a decimal string; past Python's limit on digits
+    (``sys.get_int_max_str_digits``) that is a parse error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer with {len(text)} digits is too long") from None
+
+
 @dataclass(frozen=True)
 class RationalField:
     """The field of exact rational numbers."""
@@ -59,8 +68,9 @@ class RationalField:
         text = text.strip()
         if not _RATIONAL_RE.match(text):
             raise ParseError(f"bad rational coefficient {text!r}")
+        num, _, den = text.partition("/")
         try:
-            return Fraction(text)
+            return Fraction(parse_int(num), parse_int(den or "1"))
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in coefficient {text!r}") from None
 
@@ -120,9 +130,9 @@ class PrimeField:
         m = re.match(r"(-?\d+)(?:/(-?\d+))?$", text)
         if not m:
             raise ParseError(f"bad coefficient {text!r} for {self}")
-        value = self.from_int(int(m.group(1)))
+        value = self.from_int(parse_int(m.group(1)))
         if m.group(2) is not None:
-            den = self.from_int(int(m.group(2)))
+            den = self.from_int(parse_int(m.group(2)))
             if self.is_zero(den):
                 raise ParseError(
                     f"denominator of {text!r} is zero mod {self.p}"

@@ -20,6 +20,7 @@ import re
 from .cohomology import CohomologyClass
 from .duality import CompletionElement, ContinuousHom, ResiduePair
 from .errors import ParseError
+from .fields import parse_int
 from .ring import AkizukiRing
 from .series import LaurentTail, TruncatedSeries
 
@@ -64,7 +65,7 @@ def _scan_terms(text: str, field):
                 m = _EXP_RE.match(s, i)
                 if not m:
                     raise ParseError(f"missing exponent after '^' in {text!r}")
-                exponent = int(m.group())
+                exponent = parse_int(m.group())
                 i = m.end()
             else:
                 exponent = 1
@@ -125,19 +126,18 @@ def _call_body(text: str, name: str, count: int) -> list[str]:
     return [p.strip() for p in parts]
 
 
-def _parse_level(text: str) -> int:
-    if not re.fullmatch(r"\d+", text) or int(text) < 1:
+def _parse_level(text: str, ring: AkizukiRing, what: str) -> int:
+    level = parse_int(text) if re.fullmatch(r"\d+", text) else 0
+    if level < 1:
         raise ParseError(f"level field must be a positive integer, got {text!r}")
-    return int(text)
+    if level > ring.precision:
+        raise ParseError(f"{what} {level} exceeds working precision {ring.precision}")
+    return level
 
 
 def parse_gf(text: str, ring: AkizukiRing) -> CohomologyClass:
     x_text, y_text, n_text = _call_body(text, "gf", 3)
-    n = _parse_level(n_text)
-    if n > ring.precision:
-        raise ParseError(
-            f"class exponent {n} exceeds working precision {ring.precision}"
-        )
+    n = _parse_level(n_text, ring, "class exponent")
     x = parse_series(x_text, ring.field, n)
     y = parse_series(y_text, ring.field, n)
     return CohomologyClass.make(ring.nf(x, y), n)
@@ -145,25 +145,20 @@ def parse_gf(text: str, ring: AkizukiRing) -> CohomologyClass:
 
 def parse_hom(text: str, ring: AkizukiRing) -> ContinuousHom:
     n_text, a_text, b_text = _call_body(text, "hom", 3)
-    n = _parse_level(n_text)
-    if n > ring.precision:
-        raise ParseError(
-            f"hom level {n} exceeds working precision {ring.precision}"
-        )
+    n = _parse_level(n_text, ring, "hom level")
     alpha = parse_series(a_text, ring.field, n)
     beta = parse_series(b_text, ring.field, n)
     return ContinuousHom.make(ring, alpha, beta)
 
 
+def _full_width(text: str, name: str, ring: AkizukiRing) -> list:
+    """The two series fields of a pair(...) or comp(...) literal, mod t^N."""
+    return [parse_series(s, ring.field, ring.precision) for s in _call_body(text, name, 2)]
+
+
 def parse_pair(text: str, ring: AkizukiRing) -> ResiduePair:
-    s_text, r_text = _call_body(text, "pair", 2)
-    sigma = parse_series(s_text, ring.field, ring.precision)
-    rho = parse_series(r_text, ring.field, ring.precision)
-    return ResiduePair(ring, sigma, rho)
+    return ResiduePair(ring, *_full_width(text, "pair", ring))
 
 
 def parse_comp(text: str, ring: AkizukiRing) -> CompletionElement:
-    r_text, s_text = _call_body(text, "comp", 2)
-    rho = parse_series(r_text, ring.field, ring.precision)
-    sigma = parse_series(s_text, ring.field, ring.precision)
-    return CompletionElement(ring, rho, sigma)
+    return CompletionElement(ring, *_full_width(text, "comp", ring))

@@ -33,9 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InstanceError, NotInvertibleError, PrecisionError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, check_components, dual_invert, dual_mul
 
 MINIMAL = "minimal"
+
+
+def _least_index(exponents, need: int) -> int | None:
+    """The least r with 2 n_r + 2 >= need (the cheapest rewriting rule valid
+    at level ``need``), or None."""
+    return next((r for r, n in enumerate(exponents) if 2 * n + 2 >= need), None)
 
 
 class AkizukiRing:
@@ -82,7 +88,7 @@ class AkizukiRing:
                         f"exponent {cur} violates the growth condition "
                         f"n_r >= 2*{prev} + 2"
                     )
-            top = next((r for r, n in enumerate(ns) if 2 * n + 2 >= precision), None)
+            top = _least_index(ns, precision)
             if top is None:
                 raise InstanceError(
                     f"exponent list exhausted before reaching precision {precision}"
@@ -108,25 +114,20 @@ class AkizukiRing:
             raise InstanceError("every coefficient a_i must be a unit")
         self.units = tuple(us)
 
-        # Derived data: z, w = t(z - a_0), and the partial sums s_0..s_R.
-        zc = [field.zero()] * precision
-        for n_i, a_i in zip(self.exponents, self.units):
-            zc[n_i] = a_i
-        self.z = TruncatedSeries(field, tuple(zc))
-
-        wc = [field.zero()] * precision
-        for n_i, a_i in zip(self.exponents[1:], self.units[1:]):
-            if n_i + 1 < precision:
-                wc[n_i + 1] = a_i
-        self.w = TruncatedSeries(field, tuple(wc))
-
-        sums = []
-        for r in range(count):
-            sums.append(self.partial_sum_at(r, precision))
-        self._sums = tuple(sums)
+        # Derived data: z and w = t(z - a_0).
+        self.z = self._terms(0, count, precision)
+        self.w = self._terms(1, count, precision).shift(1)
 
     # ------------------------------------------------------------------
     # instance data
+
+    def _terms(self, first: int, stop: int, precision: int) -> TruncatedSeries:
+        """The sum of a_j t^{n_j} over first <= j < stop, mod t^precision."""
+        coeffs = [self.field.zero()] * precision
+        for n_j, a_j in zip(self.exponents[first:stop], self.units[first:stop]):
+            if n_j < precision:
+                coeffs[n_j] = a_j
+        return TruncatedSeries(self.field, tuple(coeffs))
 
     @property
     def top_index(self) -> int:
@@ -135,9 +136,7 @@ class AkizukiRing:
 
     def partial_sum(self, r: int) -> TruncatedSeries:
         """s_r = a_1 t^{n_1} + ... + a_r t^{n_r} at full precision."""
-        if not 0 <= r <= self.top_index:
-            raise IndexError(f"partial sum index {r} outside 0..{self.top_index}")
-        return self._sums[r]
+        return self.partial_sum_at(r, self.precision)
 
     def partial_sum_at(self, r: int, precision: int) -> TruncatedSeries:
         """s_r rebuilt in a window of the given width (terms past it drop).
@@ -148,31 +147,18 @@ class AkizukiRing:
         """
         if not 0 <= r <= self.top_index:
             raise IndexError(f"partial sum index {r} outside 0..{self.top_index}")
-        field = self.field
-        coeffs = [field.zero()] * precision
-        for n_i, a_i in zip(self.exponents[1 : r + 1], self.units[1 : r + 1]):
-            if n_i < precision:
-                coeffs[n_i] = a_i
-        return TruncatedSeries(field, tuple(coeffs))
+        return self._terms(1, r + 1, precision)
 
     def upper_sum_at(self, i: int, precision: int) -> TruncatedSeries:
         """z - a_0 - s_i rebuilt in a window of the given width."""
-        field = self.field
-        coeffs = [field.zero()] * precision
-        for n_j, a_j in zip(self.exponents[i + 1 :], self.units[i + 1 :]):
-            if n_j < precision:
-                coeffs[n_j] = a_j
-        return TruncatedSeries(field, tuple(coeffs))
+        return self._terms(i + 1, len(self.exponents), precision)
 
     def reduction_index(self, m: int) -> int:
         """The least r with 2 n_r + 2 >= m, i.e. the cheapest valid rewriting
         rule for products at level m.  Always exists for m <= N."""
         if not 1 <= m <= self.precision:
             raise ValueError(f"level {m} outside 1..{self.precision}")
-        for r, n_r in enumerate(self.exponents):
-            if 2 * n_r + 2 >= m:
-                return r
-        raise AssertionError("unreachable: 2 n_R + 2 >= N by construction")
+        return _least_index(self.exponents, m)
 
     def admissible_indices(self, m: int) -> range:
         """All tail indices whose rewriting rule is valid at level m."""
@@ -188,7 +174,7 @@ class AkizukiRing:
         r = least if r_index is None else r_index
         if not least <= r <= self.top_index:
             raise ValueError(f"reduction index {r} not admissible at level {m}")
-        return self.partial_sum(r).truncate(m).shift(1)
+        return self.partial_sum_at(r, m).shift(1)
 
     # ------------------------------------------------------------------
     # element construction
@@ -225,27 +211,9 @@ class AkizukiRing:
         where both divisions are exact.  The rewriting rule must hold at
         level m + 2 n_i + 2, so m is capped at 2 n_R + 2 - (2 n_i + 2).
         """
-        if i < 0:
-            raise ValueError("generator index must be nonnegative")
-        if not 1 <= m <= self.precision:
-            raise PrecisionError(f"level {m} outside 1..{self.precision}")
-        if i >= self.top_index:
-            raise PrecisionError(
-                f"generator g{i} is not representable: only tails up to "
-                f"index {self.top_index} are materialized"
-            )
-        drop = 2 * self.exponents[i] + 2
+        drop = self._generator_drop(i, m)
         need = m + drop
-        least = next(
-            (r for r in range(self.top_index + 1) if 2 * self.exponents[r] + 2 >= need),
-            None,
-        )
-        if least is None:
-            cap = 2 * self.exponents[self.top_index] + 2 - drop
-            raise PrecisionError(
-                f"generator g{i} exceeds the precision headroom at level {m}"
-                f" (maximum {cap})"
-            )
+        least = _least_index(self.exponents, need)
         r = least if r_index is None else r_index
         if not least <= r <= self.top_index:
             raise ValueError(f"reduction index {r} not admissible for g{i} at level {m}")
@@ -261,6 +229,14 @@ class AkizukiRing:
         An independent route used for cross-checks; subject to the same
         headroom cap as generator_nf.
         """
+        self._generator_drop(i, m)
+        n_i = self.exponents[i]
+        q = self.upper_sum_at(i, m + n_i).shift(-n_i)
+        return q * q
+
+    def _generator_drop(self, i: int, m: int) -> int:
+        """Check that g_i is representable at level m; return the headroom
+        2 n_i + 2 its expansion consumes below the top rule 2 n_R + 2."""
         if i < 0:
             raise ValueError("generator index must be nonnegative")
         if not 1 <= m <= self.precision:
@@ -271,15 +247,13 @@ class AkizukiRing:
                 f"index {self.top_index} are materialized"
             )
         drop = 2 * self.exponents[i] + 2
-        if m + drop > 2 * self.exponents[self.top_index] + 2:
-            cap = 2 * self.exponents[self.top_index] + 2 - drop
+        cap = 2 * self.exponents[self.top_index] + 2 - drop
+        if m > cap:
             raise PrecisionError(
                 f"generator g{i} exceeds the precision headroom at level {m}"
                 f" (maximum {cap})"
             )
-        n_i = self.exponents[i]
-        q = self.upper_sum_at(i, m + n_i).shift(-n_i)
-        return q * q
+        return drop
 
     # ------------------------------------------------------------------
 
@@ -304,17 +278,7 @@ class NormalForm:
     y: TruncatedSeries
 
     def __post_init__(self):
-        if self.x.field != self.ring.field or self.y.field != self.ring.field:
-            raise PrecisionError("component fields differ from the ring field")
-        if self.x.precision != self.y.precision:
-            raise PrecisionError(
-                f"component precisions differ: {self.x.precision} vs {self.y.precision}"
-            )
-        if self.x.precision > self.ring.precision:
-            raise PrecisionError(
-                f"level {self.x.precision} exceeds working precision "
-                f"{self.ring.precision}"
-            )
+        check_components(self, self.x, self.y)
 
     @property
     def level(self) -> int:
@@ -350,10 +314,7 @@ class NormalForm:
         """Product, rewriting w^2 = 2 t s_r w - t^2 s_r^2 at this level."""
         self._compat(other)
         u = self.ring.t_partial_sum(self.level, r_index)
-        yy = self.y * other.y
-        x = self.x * other.x - yy * (u * u)
-        y = self.x * other.y + other.x * self.y + (yy * u).scale(2)
-        return NormalForm(self.ring, x, y)
+        return NormalForm(self.ring, *dual_mul(self.x, self.y, other.x, other.y, u))
 
     def __mul__(self, other):
         return self.mul(other)
@@ -362,20 +323,19 @@ class NormalForm:
         """The inverse of a unit x + y*w.
 
         Writing u = t s_r, the level-m ring is A/t^m [w] with (w - u)^2 = 0,
-        so with d = x + y u the inverse is (x + 2 y u - y w) / d^2.
+        so x + y w = a + y (w - u) with a = x + y u, whose inverse is
+        i - y i^2 (w - u) for i = a^-1: one series inversion.
         """
         if not self.is_unit():
             raise NotInvertibleError(
                 "not a unit of the local ring: the A-part has no constant term"
             )
         u = self.ring.t_partial_sum(self.level, r_index)
-        yu = self.y * u
-        e = ((self.x + yu) * (self.x + yu)).invert()
-        return NormalForm(self.ring, (self.x + yu.scale(2)) * e, (-self.y) * e)
+        return NormalForm(self.ring, *dual_invert(self.x, self.y, u))
 
     def embed(self) -> TruncatedSeries:
         """The image x + y * t(z - a_0) in the completed DVR, mod t^level."""
-        return self.x + self.y * self.ring.w.truncate(self.level)
+        return self.x + self.ring.w.truncate(self.level) * self.y
 
     def __str__(self) -> str:
         return f"({self.x}) + ({self.y})*w mod t^{self.level}"

@@ -16,6 +16,7 @@ equality is plain coefficient comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import ExactDivisionError, NotInvertibleError, PrecisionError
 
@@ -304,13 +305,8 @@ class LaurentTail:
         if other.field != self.field:
             raise PrecisionError("coefficient fields differ")
         field = self.field
-        depth = max(self.depth, other.depth)
-        out = []
-        for j in range(depth):
-            a = self.coeffs[j] if j < self.depth else field.zero()
-            b = other.coeffs[j] if j < other.depth else field.zero()
-            out.append(field.add(a, b))
-        return LaurentTail.from_coeffs(field, out)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=field.zero())
+        return LaurentTail.from_coeffs(field, [field.add(a, b) for a, b in pairs])
 
     def __neg__(self):
         return LaurentTail(self.field, tuple(self.field.neg(c) for c in self.coeffs))
@@ -355,3 +351,58 @@ class LaurentTail:
 
     def __repr__(self) -> str:
         return f"LaurentTail({self})"
+
+
+# ----------------------------------------------------------------------
+# helpers for the types built on a pair of series
+
+
+def dual_mul(x1, y1, x2, y2, c):
+    """(x1 + y1 e)(x2 + y2 e) in S[e]/(e - c)^2, as the pair (x, y).
+
+    With v = e - c (v^2 = 0) and a = x + c y, the product of a + y v terms is
+    a1 a2 + b v, b = a1 y2 + a2 y1: three dense products.  The sparse c is
+    the left operand, whose zero coefficients the product skips.
+    """
+    a1, a2 = x1 + c * y1, x2 + c * y2
+    b = a1 * y2 + a2 * y1
+    return a1 * a2 - c * b, b
+
+
+def dual_invert(x, y, c):
+    """The inverse of x + y e in S[e]/(e - c)^2 (a = x + c y must be a unit):
+    (a + y v)^-1 = i - y i^2 v with i = a^-1, rewritten in the e basis."""
+    i = (x + c * y).invert()
+    y_inv = -(y * (i * i))
+    return i - c * y_inv, y_inv
+
+
+def check_components(value, first, second, full=False):
+    """Both components over the ring's field at one precision, at most (with
+    ``full``, exactly) the working precision; otherwise PrecisionError."""
+    ring = value.ring
+    n, m, top = first.precision, second.precision, ring.precision
+    if first.field != ring.field or second.field != ring.field:
+        raise PrecisionError(f"{type(value).__name__} fields differ from the ring field")
+    if m != n or n > top or (full and n < top):
+        raise PrecisionError(
+            f"{type(value).__name__} component precisions {n} and {m} must agree and "
+            f"{'equal' if full else 'stay within'} the working precision {top}"
+        )
+
+
+def strip_common_t(x, y):
+    """Numerators x, y over t^n divided by their common t^k, the largest
+    with n - k >= 1: the fraction's numerators at its least level."""
+    is_zero, k = x.field.is_zero, 0
+    while k < x.precision - 1 and is_zero(x.coeffs[k]) and is_zero(y.coeffs[k]):
+        k += 1
+    return x.shift(-k), y.shift(-k)
+
+
+def raise_pair(x, y, n, what="level"):
+    """Numerators x, y over t^m rewritten over t^n (n >= m): times t^(n-m)."""
+    k = n - x.precision
+    if k < 0:
+        raise PrecisionError(f"cannot lower {what} {x.precision} to {n}")
+    return x.promote(k), y.promote(k)

@@ -108,6 +108,86 @@ def naive_eval(node, ring, m):
 
 
 # ----------------------------------------------------------------------
+# the closed pair formulas, on plain lists: w^2 = 2uw - u^2 for normal forms,
+# the 2x2 transition matrix of the duality map, and X^2 = -2wX - w^2 for the
+# completion.  Differential oracles for the square-zero kernel in the package.
+
+
+def _lin(field, *terms):
+    """sum of c * a over (c, a) pairs of an int scalar and a list."""
+    out = [field.zero()] * len(terms[0][1])
+    for c, a in terms:
+        k = field.from_int(c)
+        out = [field.add(o, field.mul(k, v)) for o, v in zip(out, a)]
+    return out
+
+
+def naive_u(ring, m, r):
+    """t * s_r mod t^m for tail index r."""
+    out = [ring.field.zero()] * m
+    for n_j, a_j in zip(ring.exponents[1 : r + 1], ring.units[1 : r + 1]):
+        if n_j + 1 < m:
+            out[n_j + 1] = a_j
+    return out
+
+
+def naive_nf_mul(x1, y1, x2, y2, u, field):
+    """(x1 + y1 w)(x2 + y2 w) with w^2 = 2 u w - u^2."""
+    n = len(x1)
+    yy = naive_mul(y1, y2, field, n)
+    x = _lin(field, (1, naive_mul(x1, x2, field, n)),
+             (-1, naive_mul(yy, naive_mul(u, u, field, n), field, n)))
+    y = _lin(field, (1, naive_mul(x1, y2, field, n)), (1, naive_mul(x2, y1, field, n)),
+             (2, naive_mul(yy, u, field, n)))
+    return x, y
+
+
+def naive_nf_inv(x, y, u, field):
+    """(x + 2 y u - y w) / (x + y u)^2."""
+    n = len(x)
+    yu = naive_mul(y, u, field, n)
+    d = _lin(field, (1, x), (1, yu))
+    e = naive_inv(naive_mul(d, d, field, n), field, n)
+    return (naive_mul(_lin(field, (1, x), (2, yu)), e, field, n),
+            naive_mul(_lin(field, (-1, y)), e, field, n))
+
+
+def naive_forward(x, y, sigma, rho, u, field):
+    """alpha = x sigma + y rho, beta = x rho + y (2 u rho - u^2 sigma)."""
+    n = len(x)
+    uu = naive_mul(u, u, field, n)
+    alpha = _lin(field, (1, naive_mul(x, sigma, field, n)), (1, naive_mul(y, rho, field, n)))
+    inner = _lin(field, (2, naive_mul(u, rho, field, n)), (-1, naive_mul(uu, sigma, field, n)))
+    beta = _lin(field, (1, naive_mul(x, rho, field, n)), (1, naive_mul(y, inner, field, n)))
+    return alpha, beta
+
+
+def naive_duality_inverse(alpha, beta, sigma, rho, u, field):
+    """The 2x2-matrix inverse: with d = rho - u sigma,
+    x = (alpha u (sigma u - 2 rho) + beta rho) / d^2,
+    y = (alpha rho - beta sigma) / d^2."""
+    n = len(alpha)
+    d = _lin(field, (1, rho), (-1, naive_mul(u, sigma, field, n)))
+    e = naive_inv(naive_mul(d, d, field, n), field, n)
+    su = _lin(field, (1, naive_mul(sigma, u, field, n)), (-2, rho))
+    x = _lin(field, (1, naive_mul(naive_mul(alpha, u, field, n), su, field, n)),
+             (1, naive_mul(beta, rho, field, n)))
+    y = _lin(field, (1, naive_mul(alpha, rho, field, n)), (-1, naive_mul(beta, sigma, field, n)))
+    return naive_mul(x, e, field, n), naive_mul(y, e, field, n)
+
+
+def naive_comp_mul(r1, s1, r2, s2, w, field):
+    """(r1 + s1 X)(r2 + s2 X) with X^2 = -2 w X - w^2."""
+    n = len(r1)
+    ss = naive_mul(s1, s2, field, n)
+    rho = _lin(field, (1, naive_mul(r1, r2, field, n)),
+               (-1, naive_mul(ss, naive_mul(w, w, field, n), field, n)))
+    sigma = _lin(field, (1, naive_mul(s1, r2, field, n)), (1, naive_mul(s2, r1, field, n)),
+                 (-2, naive_mul(ss, w, field, n)))
+    return rho, sigma
+
+
+# ----------------------------------------------------------------------
 # seeded random data (used by the acceptance suite)
 
 

@@ -246,3 +246,64 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "t^-2 + 2t^-1"
+
+
+# ----------------------------------------------------------------------
+# robustness: usage and parse errors exit 2 with one line of stderr
+
+
+def test_nf_large_power_golden(capsys):
+    code, out, _ = run_cli(capsys, "nf", "(1+w)^200000", "--prec", "8")
+    assert code == 0
+    assert out.strip() == (
+        "(1 - 19999900000t^6) + (200000 + 39999800000t^3 + 3999940000200000t^6"
+        " + 39999800000t^7)*w mod t^8"
+    )
+
+
+@pytest.mark.parametrize("target", ["missing", "directory", "binary"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, target):
+    path = tmp_path if target == "directory" else tmp_path / f"{target}.conf"
+    if target == "binary":
+        path.write_bytes(b"precision = \xff\xfe\n")
+    code, out, err = run_cli(capsys, "nf", "w", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("parse error: cannot read config file")
+
+
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nf", f"t + {BIG}"),
+        ("res", f"pair(1;{BIG})", "gf(1;0;1)"),
+        ("res", "pair(1;1)", f"gf({BIG}*t;0;2)"),
+        ("res", "pair(1;1)", f"gf(1;0;{BIG})"),
+        ("duality", "inverse", f"pair(0;1/{BIG})", "hom(1;1;0)"),
+        ("res", f"pair(1;{BIG})", "gf(1;0;1)", "--field", "fp:101"),
+    ],
+    ids=["expression", "series", "gf-coefficient", "gf-level", "fraction", "fp-series"],
+)
+def test_overlong_integer_is_parse_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "5000 digits" in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 3000 + "w" + ")" * 3000, "0 + " + "-" * 3000 + "w"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_deep_nesting_is_parse_error(capsys, expr):
+    code, out, err = run_cli(capsys, "nf", expr)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "nested deeper" in err

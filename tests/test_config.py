@@ -80,3 +80,8 @@ def test_from_file(tmp_path):
     path = tmp_path / "ring.conf"
     path.write_text("precision = 15\n")
     assert RingSettings.from_file(path).precision == 15
+
+
+def test_overlong_precision_is_parse_error():
+    with pytest.raises(ParseError, match="5000 digits"):
+        RingSettings.from_text("precision = " + "1" * 5000)

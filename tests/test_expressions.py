@@ -9,6 +9,7 @@ from akizuki import (
     BinOp,
     Gen,
     Neg,
+    NormalForm,
     NotInvertibleError,
     Num,
     ParseError,
@@ -20,6 +21,7 @@ from akizuki import (
     parse_expression,
     parse_series,
 )
+from akizuki.expressions import MAX_NESTING
 from support import RING_P2, RING_P101, RING_Q, naive_eval, rand_tree
 
 QQ = RationalField()
@@ -129,3 +131,76 @@ def test_roundtrip_eval_matches_manual():
     out = eval_nf(tree, RING_Q, 14)
     manual = RING_Q.one_nf(14) + (RING_Q.w_nf(14) * RING_Q.w_nf(14))
     assert out == manual
+
+
+# ----------------------------------------------------------------------
+# powers by repeated squaring, and limits of the parser
+
+
+def test_pow_agrees_with_repeated_products():
+    base = parse_expression("1 + t - 2*w + g0/3")
+    level = 14
+    nf_base, series_base = eval_nf(base, RING_Q, level), eval_series(base, RING_Q, level)
+    nf_out, series_out = RING_Q.one_nf(level), TruncatedSeries.one(QQ, level)
+    for k in range(21):
+        assert eval_nf(Pow(base, k), RING_Q, level) == nf_out, k
+        assert eval_series(Pow(base, k), RING_Q, level) == series_out, k
+        nf_out, series_out = nf_out * nf_base, series_out * series_base
+
+
+def test_pow_uses_repeated_squaring(monkeypatch):
+    products = []
+    mul = NormalForm.mul
+
+    def counting_mul(self, other, r_index=None):
+        products.append(1)
+        assert len(products) <= 2 * 18, "Pow multiplies the base in a loop"
+        return mul(self, other, r_index)
+
+    monkeypatch.setattr(NormalForm, "mul", counting_mul)
+    eval_nf(parse_expression("(1+w)^200000"), RING_Q, 8)  # 200000 < 2^18
+    assert products
+
+
+def test_pow_large_exponent_over_fp2():
+    # (1 + t)^(2^20) = 1 + t^(2^20) in characteristic 2
+    tree = parse_expression("(1+t)^1048576")
+    assert eval_nf(tree, RING_P2, 8) == RING_P2.one_nf(8)
+    assert eval_series(tree, RING_P2, 8) == TruncatedSeries.one(RING_P2.field, 8)
+
+
+def test_long_chain_evaluates():
+    # a left-deep tree far deeper than Python's recursion limit
+    tree = parse_expression("+".join(["1"] * 3000))
+    assert eval_nf(tree, RING_P101, 4) == RING_P101.constant_nf(3000, 4)
+    assert eval_series(tree, RING_P101, 4) == TruncatedSeries.constant(
+        RING_P101.field, 3000 % 101, 4
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t", "-(" * 1500 + "t" + ")" * 1500],
+    ids=["parentheses", "unary-minus", "mixed"],
+)
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_expression(text)
+
+
+def test_nesting_up_to_the_limit_parses():
+    text = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    assert parse_expression(text) == Atom("t")
+    node = parse_expression("-" * MAX_NESTING + "t")
+    for _ in range(MAX_NESTING):
+        node = node.arg
+    assert node == Atom("t")
+    with pytest.raises(ParseError):
+        parse_expression("(" + text + ")")
+
+
+def test_overlong_integer_is_a_parse_error():
+    with pytest.raises(ParseError, match="5000 digits"):
+        parse_expression("1 + " + "7" * 5000)
+    with pytest.raises(ParseError, match="5000 digits"):
+        parse_expression("g" + "1" * 5000)
