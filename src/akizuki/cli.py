@@ -103,10 +103,10 @@ def _level(args, ring):
 
 
 def _emit(args, rows, bare=None):
-    """rows: list of (key, value); pretty mode prefers the bare value."""
+    """rows: list of (key, value); pretty mode prefers the bare value.
+    Everything is formatted before anything is printed."""
     if args.output == "machine" or bare is None:
-        for key, value in rows:
-            print(f"{key} = {value}")
+        print("\n".join(f"{key} = {value}" for key, value in rows))
     else:
         print(bare)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ParseError
 from .fields import PrimeField, RationalField, parse_int
-from .ring import MINIMAL, AkizukiRing
+from .ring import MAX_PRECISION, MINIMAL, AkizukiRing
 
 DEFAULT_PRECISION = 31
 
@@ -61,7 +61,13 @@ class RingSettings:
             elif key == "precision":
                 if not re.fullmatch(r"\d+", value):
                     raise ParseError(f"config line {lineno}: bad precision {value!r}")
-                settings = replace(settings, precision=parse_int(value))
+                precision = parse_int(value)
+                if precision > MAX_PRECISION:
+                    raise ParseError(
+                        f"config line {lineno}: precision {precision} exceeds "
+                        f"the maximum {MAX_PRECISION}"
+                    )
+                settings = replace(settings, precision=precision)
             elif key == "exponents":
                 if value == MINIMAL:
                     settings = replace(settings, exponents=MINIMAL)

@@ -17,6 +17,10 @@ class NotInvertibleError(AlgebraError):
     """Inversion of an element that is not a unit."""
 
 
+class FormatError(AlgebraError):
+    """A value too large to render as text."""
+
+
 class InstanceError(AlgebraError):
     """Invalid construction data for a ring instance."""
 

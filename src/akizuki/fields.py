@@ -4,18 +4,53 @@ Series coefficients live in an exact field with decidable equality: either
 the rationals (backed by fractions.Fraction) or the integers modulo a prime.
 Field objects are lightweight immutable descriptors; element values are plain
 Fraction or int objects, and all arithmetic on them is routed through the
-descriptor so that the series layer stays field-agnostic.
+descriptor so that the series layer stays field-agnostic.  The series
+product sees a window of values as integers over one common denominator:
+``to_ints`` and ``from_ints`` convert in each direction.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInvertibleError, ParseError
+from .errors import FormatError, NotInvertibleError, ParseError
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?$")
+_ZERO = Fraction(0)
+
+# Miller-Rabin with the first 13 prime bases is exact below PRIME_LIMIT, the
+# least strong pseudoprime to all of them (J. Sorenson and J. Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_LIMIT (ValueError above it)."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"{n} is too large: the prime test is exact below {PRIME_LIMIT}")
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def parse_int(text: str) -> int:
@@ -64,6 +99,19 @@ class RationalField:
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def to_ints(self, values):
+        """Integers n_i and one denominator d with values[i] = n_i / d."""
+        den = math.lcm(*[v.denominator for v in values])
+        if den == 1:
+            return [v.numerator for v in values], 1
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    def from_ints(self, ints, den: int) -> list:
+        """The values n_i / d in lowest terms."""
+        if den == 1:
+            return [Fraction(v) if v else _ZERO for v in ints]
+        return [Fraction(v, den) if v else _ZERO for v in ints]
+
     def parse(self, text: str):
         text = text.strip()
         if not _RATIONAL_RE.match(text):
@@ -75,7 +123,14 @@ class RationalField:
             raise ParseError(f"zero denominator in coefficient {text!r}") from None
 
     def fmt(self, a) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # past Python's limit on int-to-string digits
+            big = max(abs(a.numerator), a.denominator)
+            digits = int(big.bit_length() * math.log10(2)) + 1
+            if big < 10 ** (digits - 1):
+                digits -= 1
+            raise FormatError(f"a coefficient with {digits} digits is too long to print") from None
 
     def __str__(self) -> str:
         return "q"
@@ -88,9 +143,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        p = self.p
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
     @property
     def characteristic(self) -> int:
@@ -124,6 +178,14 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
+
+    def to_ints(self, values):
+        return values, 1
+
+    def from_ints(self, ints, den: int) -> list:
+        """Integers reduced mod p (``den`` is always 1 here)."""
+        p = self.p
+        return [v % p for v in ints]
 
     def parse(self, text: str):
         text = text.strip()

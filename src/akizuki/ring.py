@@ -37,6 +37,11 @@ from .series import TruncatedSeries, check_components, dual_invert, dual_mul
 
 MINIMAL = "minimal"
 
+# The largest working precision.  A ring holds several series of this length
+# and every product packs that many coefficients, so the cap keeps a stray
+# configuration value from allocating gigabytes.
+MAX_PRECISION = 1 << 16
+
 
 def _least_index(exponents, need: int) -> int | None:
     """The least r with 2 n_r + 2 >= need (the cheapest rewriting rule valid
@@ -52,7 +57,8 @@ class AkizukiRing:
     field:
         Coefficient field descriptor (RationalField or PrimeField).
     precision:
-        Working precision N >= 2; all full-width series live mod t^N.
+        Working precision 2 <= N <= MAX_PRECISION; all full-width series
+        live mod t^N.
     exponents:
         Either the string ``"minimal"`` (fastest admissible growth,
         n_r = 2 n_{r-1} + 2) or an explicit increasing list starting at 0
@@ -67,8 +73,10 @@ class AkizukiRing:
     """
 
     def __init__(self, field, precision: int, exponents=MINIMAL, units=None):
-        if precision < 2:
-            raise InstanceError("working precision must be at least 2")
+        if not 2 <= precision <= MAX_PRECISION:
+            raise InstanceError(
+                f"working precision {precision} outside 2..{MAX_PRECISION}"
+            )
         self.field = field
         self.precision = precision
 
@@ -335,7 +343,7 @@ class NormalForm:
 
     def embed(self) -> TruncatedSeries:
         """The image x + y * t(z - a_0) in the completed DVR, mod t^level."""
-        return self.x + self.ring.w.truncate(self.level) * self.y
+        return self.x + self.y * self.ring.w.truncate(self.level)
 
     def __str__(self) -> str:
         return f"({self.x}) + ({self.y})*w mod t^{self.level}"

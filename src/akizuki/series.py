@@ -6,6 +6,19 @@ value.  Arithmetic never changes precision silently: combining operands of
 different precision raises PrecisionError, and the only ways to move between
 windows are the explicit ``truncate``, ``shift`` and ``promote`` methods.
 
+Products go through one kernel, ``_window_mul``, by Kronecker substitution
+(D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 2009): each window becomes integers over
+one common denominator (the lcm of its denominators over Q, 1 over F_p),
+the integers are packed into byte-aligned slots of a single Python int, and
+one bignum product (Karatsuba in CPython) yields every coefficient at once;
+over F_p the slots are then reduced mod p.  Over Q the slots widen with the
+bit size of that common denominator.  Inversion is Newton iteration
+g <- g + g (1 - f g) on the same kernel, doubling the known window each
+step, so it costs a few products instead of O(N^2) field operations
+(R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal power
+series", J. ACM 1978).
+
 A LaurentTail models a finite principal part sum_{j>=1} d_j t^{-j}, i.e. the
 class of a fraction f/t^n modulo integral series.  One type serves all three
 isomorphic quotients K/A, K^/A^ and the top local cohomology of A itself.
@@ -221,31 +234,27 @@ class TruncatedSeries:
         if isinstance(other, LaurentTail):
             return NotImplemented
         self._compat(other)
-        field, n = self.field, self.precision
-        out = [field.zero()] * n
-        for i, a in enumerate(self.coeffs):
-            if field.is_zero(a):
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not field.is_zero(b):
-                    out[i + j] = field.add(out[i + j], field.mul(a, b))
-        return TruncatedSeries(field, tuple(out))
+        return TruncatedSeries(
+            self.field, tuple(_window_mul(self.field, self.coeffs, other.coeffs, self.precision))
+        )
 
     def invert(self) -> "TruncatedSeries":
-        """The multiplicative inverse mod t^N (constant term must be a unit)."""
-        field, n = self.field, self.precision
+        """The multiplicative inverse mod t^N (constant term must be a unit).
+
+        Newton iteration g <- g + g (1 - f g): if f g = 1 mod t^k, then
+        f g = 1 + t^k h and the step doubles the known window.
+        """
+        field, f, n = self.field, self.coeffs, self.precision
         if not self.is_unit():
             raise NotInvertibleError("series has no constant term, so no inverse")
-        lead = field.inv(self.constant_term)
-        out = [lead]
-        for k in range(1, n):
-            acc = field.zero()
-            for i in range(1, k + 1):
-                if not field.is_zero(self.coeffs[i]):
-                    acc = field.add(acc, field.mul(self.coeffs[i], out[k - i]))
-            out.append(field.neg(field.mul(acc, lead)))
-        return TruncatedSeries(field, tuple(out))
+        g = [field.inv(f[0])]
+        k = 1
+        while k < n:
+            step = min(k, n - k)
+            h = _window_mul(field, f, g, k + step)[k:]
+            g += [field.neg(c) for c in _window_mul(field, g, h, step)]
+            k += step
+        return TruncatedSeries(field, tuple(g))
 
     # ------------------------------------------------------------------
     # principal parts
@@ -354,6 +363,48 @@ class LaurentTail:
 
 
 # ----------------------------------------------------------------------
+# the product kernel
+
+
+def _window_mul(field, a, b, n: int) -> list:
+    """The low n coefficients of a * b, for sequences of field values.
+
+    The first n values of each operand become integers over one denominator
+    (``field.to_ints``), packed into one big int each with slot i holding
+    the coefficient of t^i.  Slots are whole bytes, wide enough for every
+    operand and product coefficient plus a sign bit, so one bignum product
+    holds the product's coefficients side by side.  With negative integers
+    about, every slot carries the bias ``half``: the packed ints subtract it
+    again, and adding it to the product's low n slots makes each of them a
+    plain unsigned byte string.
+    """
+    xs, dx = field.to_ints(a[:n])
+    ys, dy = field.to_ints(b[:n])
+    top_x, top_y = max(map(abs, xs)), max(map(abs, ys))
+    size = max(top_x * top_y * min(len(xs), len(ys)), top_x, top_y).bit_length() // 8 + 1
+    half = 1 << (8 * size - 1) if min(xs) < 0 or min(ys) < 0 else 0
+    width = n * size
+    product = _pack(xs, size, half) * _pack(ys, size, half) + _spread(half, size, n)
+    raw = (product & ((1 << 8 * width) - 1)).to_bytes(width, "little")
+    from_bytes = int.from_bytes
+    return field.from_ints(
+        [from_bytes(raw[i : i + size], "little") - half for i in range(0, width, size)],
+        dx * dy,
+    )
+
+
+def _pack(ints, size: int, half: int) -> int:
+    """sum ints[i] * 2^(8 size i), through biased unsigned slots."""
+    raw = b"".join([(v + half).to_bytes(size, "little") for v in ints])
+    return int.from_bytes(raw, "little") - _spread(half, size, len(ints))
+
+
+def _spread(half: int, size: int, count: int) -> int:
+    """``half`` in each of ``count`` slots of ``size`` bytes."""
+    return int.from_bytes(half.to_bytes(size, "little") * count, "little") if half else 0
+
+
+# ----------------------------------------------------------------------
 # helpers for the types built on a pair of series
 
 
@@ -361,8 +412,8 @@ def dual_mul(x1, y1, x2, y2, c):
     """(x1 + y1 e)(x2 + y2 e) in S[e]/(e - c)^2, as the pair (x, y).
 
     With v = e - c (v^2 = 0) and a = x + c y, the product of a + y v terms is
-    a1 a2 + b v, b = a1 y2 + a2 y1: three dense products.  The sparse c is
-    the left operand, whose zero coefficients the product skips.
+    a1 a2 + b v, b = a1 y2 + a2 y1: three products of full windows, plus
+    three by the sparse c.
     """
     a1, a2 = x1 + c * y1, x2 + c * y2
     b = a1 * y2 + a2 * y1

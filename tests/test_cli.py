@@ -307,3 +307,48 @@ def test_deep_nesting_is_parse_error(capsys, expr):
     assert out == ""
     assert err.count("\n") == 1
     assert "nested deeper" in err
+
+
+def test_sixty_bit_prime_field_is_fast():
+    # a trial-division prime test took minutes on this p
+    proc = subprocess.run(
+        [sys.executable, "-m", "akizuki", "nf", "(1+w)^3", "--field",
+         "fp:1000000000000000003", "--prec", "4", "--output", "machine"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["X = 1", "Y = 3 + 6t^3", "level = 4"]
+
+
+def test_prime_past_the_exact_range_is_parse_error(capsys):
+    code, out, err = run_cli(capsys, "nf", "1", "--field", "fp:" + "9" * 30)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "too large" in err
+
+
+def test_config_precision_past_the_cap_is_parse_error(tmp_path, capsys):
+    conf = tmp_path / "huge.conf"
+    conf.write_text("precision = 1000000000\n")
+    code, out, err = run_cli(capsys, "nf", "w", "--config", str(conf))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "exceeds the maximum" in err
+
+
+def test_overlong_coefficient_is_one_line_error(capsys):
+    code, out, err = run_cli(capsys, "nf", "2^20000")
+    assert code == 1
+    assert out == ""
+    assert err == "error: a coefficient with 6021 digits is too long to print\n"
+
+
+def test_overlong_coefficient_prints_nothing_in_machine_mode(capsys):
+    code, out, err = run_cli(capsys, "nf", "t + 2^20000*t*w", "--output", "machine")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1

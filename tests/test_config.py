@@ -6,6 +6,8 @@ import pytest
 
 from akizuki import (
     MINIMAL,
+    AkizukiRing,
+    InstanceError,
     ParseError,
     PrimeField,
     RationalField,
@@ -13,6 +15,8 @@ from akizuki import (
     default_ring,
     parse_field_spec,
 )
+from akizuki.fields import PRIME_LIMIT, is_prime
+from akizuki.ring import MAX_PRECISION
 
 
 def test_field_specs():
@@ -85,3 +89,36 @@ def test_from_file(tmp_path):
 def test_overlong_precision_is_parse_error():
     with pytest.raises(ParseError, match="5000 digits"):
         RingSettings.from_text("precision = " + "1" * 5000)
+
+
+def test_prime_test_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**4) if is_prime(n) != trial(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [561, 3215031751, 3825123056546413051],
+    ids=["carmichael", "spsp-2-3-5-7", "spsp-to-23"],
+)
+def test_strong_pseudoprimes_are_composite(n):
+    assert not is_prime(n)
+    with pytest.raises(ParseError, match="not prime"):
+        parse_field_spec(f"fp:{n}")
+
+
+def test_large_primes():
+    assert parse_field_spec("fp:1000000000000000003") == PrimeField(1000000000000000003)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    with pytest.raises(ParseError, match="too large"):
+        parse_field_spec(f"fp:{PRIME_LIMIT}")
+
+
+def test_precision_cap():
+    with pytest.raises(ParseError, match="line 2: precision 1000000000 exceeds"):
+        RingSettings.from_text("field = q\nprecision = 1000000000")
+    assert RingSettings.from_text(f"precision = {MAX_PRECISION}").precision == MAX_PRECISION
+    with pytest.raises(InstanceError, match="outside 2.."):
+        AkizukiRing(RationalField(), MAX_PRECISION + 1)
