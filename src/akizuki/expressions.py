@@ -4,7 +4,8 @@ Grammar: atoms ``t``, ``w``, ``g0``, ``g1``, ...; integer constants;
 operators ``+ - * /``; parentheses; ``^`` with a nonnegative integer
 exponent.  Rational constants are spelled as quotients (``1/2``), which the
 evaluator resolves by local division, so they need no dedicated literal.
-Parentheses and unary signs nest at most MAX_NESTING deep.
+Parentheses and unary signs nest at most MAX_NESTING deep, and over q the
+coefficients of a power stay within MAX_POWER_BITS bits.
 
 Two evaluators share one walk over the tree: ``eval_nf`` works through
 normal forms (the ring's own arithmetic), while ``eval_series`` evaluates
@@ -18,7 +19,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import AlgebraError, ParseError
 from .fields import parse_int
 from .ring import AkizukiRing, NormalForm
 from .series import TruncatedSeries
@@ -26,6 +27,14 @@ from .series import TruncatedSeries
 # Each level of parentheses costs the recursive-descent parser five Python
 # frames; this bound keeps parsing well inside the default recursion limit.
 MAX_NESTING = 100
+
+# Over q, repeated squaring doubles the bit size of a coefficient at every
+# step, so 2^k would build a k-bit integer in log2(k) products.  A power
+# stops with AlgebraError once a numerator or denominator of its
+# coefficients passes this many bits; a step at most doubles the size, so
+# no intermediate grows past about twice the cap.  Coefficients past 4300
+# digits (about 14300 bits) cannot be printed anyway.
+MAX_POWER_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -180,13 +189,31 @@ def parse_expression(text: str):
 
 def _power(base, k: int):
     """base^k for k >= 1 by left-to-right binary exponentiation: fewer than
-    2 log2(k) products."""
+    2 log2(k) products, each step checked against MAX_POWER_BITS."""
     out = base
     for bit in bin(k)[3:]:
         out = out * out
         if bit == "1":
             out = out * base
+        if _largest_bits(out) > MAX_POWER_BITS:
+            raise AlgebraError(
+                f"a power has a coefficient of more than {MAX_POWER_BITS} bits"
+            )
     return out
+
+
+def _largest_bits(value) -> int:
+    """The bit size of the largest numerator or denominator among the
+    coefficients of a normal form or a series (0 over F_p, where they stay
+    below p)."""
+    parts = (value.x, value.y) if isinstance(value, NormalForm) else (value,)
+    if parts[0].field.characteristic:
+        return 0
+    return max(
+        max(c.numerator.bit_length(), c.denominator.bit_length())
+        for part in parts
+        for c in part.coeffs
+    )
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,

@@ -4,9 +4,17 @@ Series coefficients live in an exact field with decidable equality: either
 the rationals (backed by fractions.Fraction) or the integers modulo a prime.
 Field objects are lightweight immutable descriptors; element values are plain
 Fraction or int objects, and all arithmetic on them is routed through the
-descriptor so that the series layer stays field-agnostic.  The series
-product sees a window of values as integers over one common denominator:
-``to_ints`` and ``from_ints`` convert in each direction.
+descriptor so that the series layer stays field-agnostic.  Three hooks
+work on a whole window of values at once:
+
+- ``pointwise(op, *windows)`` applies an exact integer or Fraction
+  operation coefficient by coefficient and returns canonical values (over
+  F_p one ``% p`` per result, over Q the results themselves), so series
+  sums, differences, negation and scaling make one call per window;
+- ``to_ints(values)`` gives integers n_i over one common denominator d,
+  with the least and the largest n_i (over F_p simply 0 and p - 1, with no
+  scan), for the packed series product;
+- ``from_ints(ints, d)`` turns the product's integers back into values.
 """
 
 from __future__ import annotations
@@ -62,6 +70,22 @@ def parse_int(text: str) -> int:
         raise ParseError(f"integer with {len(text)} digits is too long") from None
 
 
+# Past this many bits the digit count of an integer is only bounded from
+# below: the exact count needs 10^(d-1), which costs more than the integer.
+_EXACT_DIGITS_BITS = 1 << 18
+
+
+def _digit_count(n: int) -> str:
+    """The number of decimal digits of n > 0, as text: exact up to
+    _EXACT_DIGITS_BITS bits, else "more than" a bound from n's bit length."""
+    bits = n.bit_length()
+    if bits > _EXACT_DIGITS_BITS:
+        # n >= 2^(bits-1), and 0.30102999 < log10(2)
+        return f"more than {(bits - 1) * 30102999 // 10**8}"
+    digits = int(bits * math.log10(2)) + 1
+    return str(digits - 1 if n < 10 ** (digits - 1) else digits)
+
+
 @dataclass(frozen=True)
 class RationalField:
     """The field of exact rational numbers."""
@@ -99,12 +123,20 @@ class RationalField:
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def pointwise(self, op, *windows) -> tuple:
+        """op applied coefficient by coefficient (Fraction arithmetic is
+        already canonical)."""
+        return tuple(map(op, *windows))
+
     def to_ints(self, values):
-        """Integers n_i and one denominator d with values[i] = n_i / d."""
+        """Integers n_i, one denominator d with values[i] = n_i / d, and the
+        least and the largest n_i."""
         den = math.lcm(*[v.denominator for v in values])
         if den == 1:
-            return [v.numerator for v in values], 1
-        return [v.numerator * (den // v.denominator) for v in values], den
+            ints = [v.numerator for v in values]
+        else:
+            ints = [v.numerator * (den // v.denominator) for v in values]
+        return ints, den, min(ints), max(ints)
 
     def from_ints(self, ints, den: int) -> list:
         """The values n_i / d in lowest terms."""
@@ -126,11 +158,10 @@ class RationalField:
         try:
             return str(a)
         except ValueError:  # past Python's limit on int-to-string digits
-            big = max(abs(a.numerator), a.denominator)
-            digits = int(big.bit_length() * math.log10(2)) + 1
-            if big < 10 ** (digits - 1):
-                digits -= 1
-            raise FormatError(f"a coefficient with {digits} digits is too long to print") from None
+            raise FormatError(
+                f"a coefficient with {_digit_count(max(abs(a.numerator), a.denominator))} "
+                "digits is too long to print"
+            ) from None
 
     def __str__(self) -> str:
         return "q"
@@ -179,8 +210,14 @@ class PrimeField:
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
+    def pointwise(self, op, *windows) -> tuple:
+        """op applied coefficient by coefficient, reduced mod p."""
+        p = self.p
+        return tuple([v % p for v in map(op, *windows)])
+
     def to_ints(self, values):
-        return values, 1
+        """The values themselves over the denominator 1; they lie in [0, p)."""
+        return values, 1, 0, self.p - 1
 
     def from_ints(self, ints, den: int) -> list:
         """Integers reduced mod p (``den`` is always 1 here)."""

@@ -10,14 +10,22 @@ Products go through one kernel, ``_window_mul``, by Kronecker substitution
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 2009): each window becomes integers over
 one common denominator (the lcm of its denominators over Q, 1 over F_p),
-the integers are packed into byte-aligned slots of a single Python int, and
-one bignum product (Karatsuba in CPython) yields every coefficient at once;
-over F_p the slots are then reduced mod p.  Over Q the slots widen with the
-bit size of that common denominator.  Inversion is Newton iteration
+the integers are packed into slots of one Python int, and one bignum
+product (Karatsuba in CPython) yields every coefficient at once; over F_p
+the slots are then reduced mod p.  A slot is the least whole number of
+bytes that holds every coefficient of the operands and of the product (over
+F_p that follows from p and the window length; over Q it widens with the
+bit size of the common denominator), with a sign bit, in two's complement,
+only when a value is negative.  Slots of up to 8 bytes are copied to and
+from ``array`` lanes by strided byte slices, so packing and unpacking cost a
+few C-level calls per window, not one per coefficient; wider slots, which
+hold values of 2^64 or more, fall back to one ``int.to_bytes`` and
+``int.from_bytes`` per coefficient.  Inversion is Newton iteration
 g <- g + g (1 - f g) on the same kernel, doubling the known window each
 step, so it costs a few products instead of O(N^2) field operations
 (R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal power
-series", J. ACM 1978).
+series", J. ACM 1978).  Sums, differences, negation and scaling go through
+one field call per window (``field.pointwise``).
 
 A LaurentTail models a finite principal part sum_{j>=1} d_j t^{-j}, i.e. the
 class of a fraction f/t^n modulo integral series.  One type serves all three
@@ -28,8 +36,11 @@ equality is plain coefficient comparison.
 
 from __future__ import annotations
 
+import operator
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 from .errors import ExactDivisionError, NotInvertibleError, PrecisionError
 
@@ -98,7 +109,7 @@ class TruncatedSeries:
             raise PrecisionError(
                 f"{len(vals)} coefficients do not fit in precision {precision}"
             )
-        vals.extend(field.zero() for _ in range(precision - len(vals)))
+        vals += [field.zero()] * (precision - len(vals))
         return cls(field, tuple(vals))
 
     @classmethod
@@ -207,28 +218,25 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._compat(other)
-        add = self.field.add
         return TruncatedSeries(
-            self.field, tuple(add(a, b) for a, b in zip(self.coeffs, other.coeffs))
+            self.field, self.field.pointwise(operator.add, self.coeffs, other.coeffs)
         )
 
     def __sub__(self, other):
         self._compat(other)
-        sub = self.field.sub
         return TruncatedSeries(
-            self.field, tuple(sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
+            self.field, self.field.pointwise(operator.sub, self.coeffs, other.coeffs)
         )
 
     def __neg__(self):
-        neg = self.field.neg
-        return TruncatedSeries(self.field, tuple(neg(a) for a in self.coeffs))
+        return TruncatedSeries(self.field, self.field.pointwise(operator.neg, self.coeffs))
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by the field scalar c (ints convert)."""
         field = self.field
         if isinstance(c, int):
             c = field.from_int(c)
-        return TruncatedSeries(field, tuple(field.mul(c, a) for a in self.coeffs))
+        return TruncatedSeries(field, field.pointwise(operator.mul, repeat(c), self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, LaurentTail):
@@ -252,7 +260,7 @@ class TruncatedSeries:
         while k < n:
             step = min(k, n - k)
             h = _window_mul(field, f, g, k + step)[k:]
-            g += [field.neg(c) for c in _window_mul(field, g, h, step)]
+            g += field.pointwise(operator.neg, _window_mul(field, g, h, step))
             k += step
         return TruncatedSeries(field, tuple(g))
 
@@ -318,7 +326,7 @@ class LaurentTail:
         return LaurentTail.from_coeffs(field, [field.add(a, b) for a, b in pairs])
 
     def __neg__(self):
-        return LaurentTail(self.field, tuple(self.field.neg(c) for c in self.coeffs))
+        return LaurentTail(self.field, self.field.pointwise(operator.neg, self.coeffs))
 
     def numerator(self, n: int) -> TruncatedSeries:
         """The series g with self = class of g / t^n (requires depth <= n)."""
@@ -370,38 +378,110 @@ def _window_mul(field, a, b, n: int) -> list:
     """The low n coefficients of a * b, for sequences of field values.
 
     The first n values of each operand become integers over one denominator
-    (``field.to_ints``), packed into one big int each with slot i holding
-    the coefficient of t^i.  Slots are whole bytes, wide enough for every
-    operand and product coefficient plus a sign bit, so one bignum product
-    holds the product's coefficients side by side.  With negative integers
-    about, every slot carries the bias ``half``: the packed ints subtract it
-    again, and adding it to the product's low n slots makes each of them a
-    plain unsigned byte string.
+    (``field.to_ints``, which also bounds them), packed into one big int
+    each with slot i holding the coefficient of t^i.  A slot is the least
+    whole number of bytes that holds every operand and product coefficient,
+    plus a sign bit when an operand has a negative integer (a short window
+    widens it to its lane; see _SHORT_BYTES), so one bignum product holds
+    the product's coefficients side by side.  Signed slots
+    are two's complement, and a negative slot borrows from the slot above:
+    adding ``half`` (the top bit of each of the low n slots) turns those n
+    slots into independent unsigned numbers, and flipping the same bits
+    again makes them two's complement.
     """
-    xs, dx = field.to_ints(a[:n])
-    ys, dy = field.to_ints(b[:n])
-    top_x, top_y = max(map(abs, xs)), max(map(abs, ys))
-    size = max(top_x * top_y * min(len(xs), len(ys)), top_x, top_y).bit_length() // 8 + 1
-    half = 1 << (8 * size - 1) if min(xs) < 0 or min(ys) < 0 else 0
+    xs, dx, low_x, high_x = field.to_ints(a[:n])
+    ys, dy, low_y, high_y = field.to_ints(b[:n])
+    top_x, top_y = max(high_x, -low_x), max(high_y, -low_y)
+    signed = low_x < 0 or low_y < 0
+    bound = max(top_x * top_y * min(len(xs), len(ys)), top_x, top_y)
+    size = max(1, (bound.bit_length() + signed + 7) // 8)
+    if size <= _LANE and n * _lane_bytes(size) <= _SHORT_BYTES:
+        size = _lane_bytes(size)
     width = n * size
-    product = _pack(xs, size, half) * _pack(ys, size, half) + _spread(half, size, n)
+    half = 0
+    if signed:
+        half = int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * n, "little")
+    product = _pack(xs, size, half) * _pack(ys, size, half)
+    if signed:
+        product = (product + half) ^ half
     raw = (product & ((1 << 8 * width) - 1)).to_bytes(width, "little")
-    from_bytes = int.from_bytes
-    return field.from_ints(
-        [from_bytes(raw[i : i + size], "little") - half for i in range(0, width, size)],
-        dx * dy,
-    )
+    return field.from_ints(_unpack(raw, size, signed), dx * dy)
+
+
+# Slots of at most 8 bytes move through ``array`` lanes: the narrowest
+# integer type at least as wide as the slot ("b"/"B" 1 byte, "h"/"H" 2,
+# "i"/"I" 4, "q"/"Q" 8), with one strided copy per slot byte when the two
+# widths differ.  Wider slots (operand or product values of 2^64 or more)
+# take one int.to_bytes / int.from_bytes call per value.
+_LANE = 8
+# A short window takes slots as wide as its lanes, which needs no strided
+# copies: up to this many bytes per packed operand, below CPython's
+# Karatsuba cutoff (70 digits of 30 bits), the wider product costs less
+# than the copies (measured crossovers: 3-byte slots near 64 coefficients,
+# 5-byte slots near 32).  Longer windows keep the least slot width.
+_SHORT_BYTES = 256
+_SWAP = sys.byteorder != "little"
+# The top byte of a two's-complement slot -> the byte that extends its sign.
+_SIGN_FILL = bytes(128) + b"\xff" * 128
+
+
+def _lane_bytes(size: int) -> int:
+    """The width of the lane that holds a slot of ``size`` <= 8 bytes."""
+    return 1 << (size - 1).bit_length()
+
+
+def _lane_code(size: int, signed: bool) -> str:
+    """The array typecode whose items hold one slot of ``size`` <= 8 bytes."""
+    return ("bhiq" if signed else "BHIQ")[(size - 1).bit_length()]
 
 
 def _pack(ints, size: int, half: int) -> int:
-    """sum ints[i] * 2^(8 size i), through biased unsigned slots."""
-    raw = b"".join([(v + half).to_bytes(size, "little") for v in ints])
-    return int.from_bytes(raw, "little") - _spread(half, size, len(ints))
+    """sum ints[i] * 2^(8 size i), each value written into ``size`` bytes.
+
+    ``half`` is 0 for unsigned slots, else the top bit of every slot: then
+    slots are two's complement, so each negative one reads 2^(8 size) too
+    high, and its sign bit, doubled, is the borrow to take back.
+    """
+    signed = half != 0
+    if size <= _LANE:
+        lanes = array(_lane_code(size, signed), ints)
+        if _SWAP:
+            lanes.byteswap()
+        step, raw = lanes.itemsize, lanes.tobytes()
+        if step != size:
+            wide, raw = raw, bytearray(len(ints) * size)
+            for k in range(size):
+                raw[k::size] = wide[k::step]
+    else:
+        raw = b"".join([v.to_bytes(size, "little", signed=signed) for v in ints])
+    packed = int.from_bytes(raw, "little")
+    return packed - ((packed & half) << 1) if signed else packed
 
 
-def _spread(half: int, size: int, count: int) -> int:
-    """``half`` in each of ``count`` slots of ``size`` bytes."""
-    return int.from_bytes(half.to_bytes(size, "little") * count, "little") if half else 0
+def _unpack(raw, size: int, signed: bool) -> list:
+    """The integers in the ``size``-byte slots of ``raw`` (little-endian,
+    two's complement when ``signed``)."""
+    if size > _LANE:
+        from_bytes = int.from_bytes
+        return [
+            from_bytes(raw[i : i + size], "little", signed=signed)
+            for i in range(0, len(raw), size)
+        ]
+    out = array(_lane_code(size, signed))
+    step = out.itemsize
+    if step != size:
+        lanes = bytearray(len(raw) // size * step)
+        for k in range(size):
+            lanes[k::step] = raw[k::size]
+        if signed:
+            fill = raw[size - 1 :: size].translate(_SIGN_FILL)
+            for k in range(size, step):
+                lanes[k::step] = fill
+        raw = lanes
+    out.frombytes(raw)
+    if _SWAP:
+        out.byteswap()
+    return out.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
+from akizuki import RationalField
 from akizuki.cli import main
+from akizuki.errors import FormatError
 
 
 def run_cli(capsys, *argv):
@@ -347,8 +351,31 @@ def test_overlong_coefficient_is_one_line_error(capsys):
     assert err == "error: a coefficient with 6021 digits is too long to print\n"
 
 
+def test_digit_count_of_a_huge_coefficient_is_bounded_work():
+    # the exact count needs 10^(d-1): 10 s for 2^30000000
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="^a coefficient with more than 9030899 digits "):
+        RationalField().fmt(Fraction(2**30000000, 3))
+    with pytest.raises(FormatError, match="^a coefficient with 4301 digits "):
+        RationalField().fmt(Fraction(1, 10**4300))
+    assert time.perf_counter() - start < 2
+
+
 def test_overlong_coefficient_prints_nothing_in_machine_mode(capsys):
     code, out, err = run_cli(capsys, "nf", "t + 2^20000*t*w", "--output", "machine")
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
+
+
+def test_huge_power_is_one_line_error_within_seconds():
+    # 2^30000000 used to be built, then spent 10 s counting its digits
+    proc = subprocess.run(
+        [sys.executable, "-m", "akizuki", "nf", "2^30000000", "--prec", "2"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: a power has a coefficient of more than 65536 bits\n"

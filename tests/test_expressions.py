@@ -1,10 +1,12 @@
 """Expression parsing and the two independent evaluation routes."""
 
 import random
+import time
 
 import pytest
 
 from akizuki import (
+    AlgebraError,
     Atom,
     BinOp,
     Gen,
@@ -21,7 +23,7 @@ from akizuki import (
     parse_expression,
     parse_series,
 )
-from akizuki.expressions import MAX_NESTING
+from akizuki.expressions import MAX_NESTING, MAX_POWER_BITS
 from support import RING_P2, RING_P101, RING_Q, naive_eval, rand_tree
 
 QQ = RationalField()
@@ -167,6 +169,24 @@ def test_pow_large_exponent_over_fp2():
     tree = parse_expression("(1+t)^1048576")
     assert eval_nf(tree, RING_P2, 8) == RING_P2.one_nf(8)
     assert eval_series(tree, RING_P2, 8) == TruncatedSeries.one(RING_P2.field, 8)
+
+
+@pytest.mark.parametrize("text", ["2^1000000000", "(1/3 + t)^1000000", "(2+w)^70000"])
+def test_power_past_the_bit_cap_is_an_algebra_error(text):
+    start = time.perf_counter()
+    tree = parse_expression(text)
+    for evaluate in (eval_nf, eval_series):
+        with pytest.raises(AlgebraError, match=f"more than {MAX_POWER_BITS} bits"):
+            evaluate(tree, RING_Q, 8)
+    assert time.perf_counter() - start < 5
+
+
+def test_power_up_to_the_bit_cap_evaluates():
+    k = MAX_POWER_BITS - 1
+    value = eval_series(parse_expression(f"2^{k}"), RING_Q, 4)
+    assert value == TruncatedSeries.constant(RING_Q.field, 2**k, 4)
+    # the cap reads coefficients, not the exponent: no growth over F_p
+    assert eval_nf(parse_expression("(2+w)^1000000"), RING_P101, 8).level == 8
 
 
 def test_long_chain_evaluates():

@@ -4,8 +4,11 @@
 ``invert`` runs Newton iteration on that product.  Both are checked here
 against the schoolbook oracles ``naive_mul`` and ``naive_inv`` in
 ``support``, at precisions far beyond the other suites, and on the inputs
-where the packing is delicate: precision 1, zero operands, one-term
-operands, coefficients of thousands of digits and mixed signs.
+where the packing is delicate: every slot width that goes through array
+lanes (1 to 8 bytes) and wider ones, values at the edges of the 64-bit
+lanes, precision 1, zero operands, one-term operands, coefficients of
+thousands of digits and mixed signs.  The whole-window linear operations
+are checked against coefficient-by-coefficient oracles at the end.
 """
 
 import random
@@ -13,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import akizuki.series
 from akizuki import (
     AkizukiRing,
     NotInvertibleError,
@@ -20,6 +24,7 @@ from akizuki import (
     RationalField,
     TruncatedSeries,
 )
+from akizuki.fields import PRIME_LIMIT
 from support import naive_inv, naive_mul
 
 QQ = RationalField()
@@ -55,6 +60,19 @@ def check_mul(field, a, b):
     product = series(field, a) * series(field, b)
     assert list(product.coeffs) == naive_mul(a, b, field, n)
     return product
+
+
+@pytest.fixture
+def slot_sizes(monkeypatch):
+    """The (slot bytes, signed) of every operand the product packs."""
+    seen, pack = set(), akizuki.series._pack
+
+    def spy(ints, size, half):
+        seen.add((size, half != 0))
+        return pack(ints, size, half)
+
+    monkeypatch.setattr(akizuki.series, "_pack", spy)
+    return seen
 
 
 def check_canonical(s):
@@ -110,6 +128,85 @@ def test_invert_at_every_newton_boundary(field, n):
 
 
 # ----------------------------------------------------------------------
+# slot widths and lane edges
+
+# (p, N) pairs whose full-width products need slots of every width from 1 to
+# 8 bytes (array lanes) and of 9 bytes and more (one int.to_bytes per value):
+# a slot holds (p - 1)^2 N.  The last three fields have values of 2^31,
+# 2^63 and 2^64 or more.
+SLOT_CASES = [
+    (2, 200),
+    (2, 511),
+    (101, 511),
+    (251, 511),
+    (65521, 127),
+    (65521, 511),
+    (16777213, 255),
+    (134217689, 511),
+    (4294967291, 1),
+    (2**31 - 1, 31),
+    (4294967291, 64),
+    (18446744073709551557, 31),
+    (3317044064679887385961813, 31),
+]
+
+
+@pytest.mark.parametrize("p, n", SLOT_CASES)
+def test_mul_and_invert_at_every_slot_width(p, n, slot_sizes):
+    field, rng = PrimeField(p), random.Random(p * n)
+    a, b = rand_coeffs(rng, field, n), rand_coeffs(rng, field, n)
+    a[0] = p - 1
+    check_canonical(check_mul(field, a, b))
+    check_mul(field, [p - 1] * n, [p - 1] * n)  # the largest coefficients
+    inverse = series(field, a).invert()
+    check_canonical(inverse)
+    assert list(inverse.coeffs) == naive_inv(a, field, n)
+    width = -(-((p - 1) ** 2 * n).bit_length() // 8)
+    assert (width, False) in slot_sizes
+
+
+def test_slot_cases_cover_every_width():
+    assert PRIME_LIMIT - 168 == SLOT_CASES[-1][0]
+    widths = {-(-((p - 1) ** 2 * n).bit_length() // 8) for p, n in SLOT_CASES}
+    assert set(range(1, 10)) <= widths and max(widths) > 16
+
+
+def test_mul_over_q_with_mixed_signs_at_every_width(slot_sizes):
+    """Numerators of 1 to 40 bits with random signs, over one denominator
+    and over several: signed slots of 1 to 11 bytes in long windows, and
+    slots widened to their lanes in short ones."""
+    rng = random.Random("signs")
+    for n in (8, 80):
+        for bits in range(1, 41, 1 if n == 8 else 2):
+            for dens in (1, 3):
+                a = rand_coeffs(rng, QQ, n, bits=bits, den_bits=5, dens=dens)
+                b = rand_coeffs(rng, QQ, n, bits=bits, den_bits=5, dens=dens)
+                check_canonical(check_mul(QQ, a, b))
+    assert {size for size, signed in slot_sizes if signed} >= set(range(1, 10))
+
+
+LANE_EDGES = [2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1]
+
+
+@pytest.mark.parametrize("v", LANE_EDGES + [-v for v in LANE_EDGES])
+def test_q_numerators_at_the_lane_limit(v, slot_sizes):
+    """Numerators on both sides of +-2^63 and +-2^64, where the product
+    moves from 8-byte lanes to one int.to_bytes per value."""
+    third = Fraction(1, 3)
+    cases = [
+        ([v], [-1]),
+        ([v], [1]),
+        ([v, -v, 1 - v], [0, 0, 0]),
+        ([v, 5, -v], [1, -1, 2]),
+        ([Fraction(v, 7), -third, third], [-third, Fraction(v, 5), 1]),
+    ]
+    for a, b in cases:
+        check_canonical(check_mul(QQ, [Fraction(c) for c in a], [Fraction(c) for c in b]))
+    assert ((8, True) in slot_sizes) == (abs(v) < 2**63)
+    assert ((8, False) in slot_sizes) == (0 < v < 2**64)
+
+
+# ----------------------------------------------------------------------
 # edge cases
 
 
@@ -158,3 +255,38 @@ def test_non_unit_has_no_inverse(field):
     a = [field.zero()] + [field.one()] * 9
     with pytest.raises(NotInvertibleError):
         series(field, a).invert()
+
+
+# ----------------------------------------------------------------------
+# whole-window linear operations
+
+
+def oracle_reduce(field):
+    p = field.characteristic
+    return (lambda v: v % p) if p else (lambda v: v)
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
+def test_linear_ops_match_coefficientwise(field):
+    rng, reduce = random.Random(f"linear:{field}"), oracle_reduce(field)
+    for n in (1, 2, 31, 127):
+        a, b = (rand_coeffs(rng, field, n, bits=70) for _ in "ab")
+        c = rand_coeffs(rng, field, 1)[0]
+        sa, sb = series(field, a), series(field, b)
+        for got, want in (
+            (sa + sb, [reduce(x + y) for x, y in zip(a, b)]),
+            (sa - sb, [reduce(x - y) for x, y in zip(a, b)]),
+            (-sa, [reduce(-x) for x in a]),
+            (sa.scale(c), [reduce(c * x) for x in a]),
+            (sa.scale(-3), [reduce(-3 * x) for x in a]),
+            (sa - sa, [reduce(0)] * n),
+        ):
+            assert list(got.coeffs) == want
+            check_canonical(got)
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
+def test_from_coeffs_pads_with_zeros(field):
+    s = TruncatedSeries.from_coeffs(field, [3, -1], 40)
+    assert list(s.coeffs) == [field.from_int(3), field.from_int(-1)] + [field.zero()] * 38
+    check_canonical(s)
