@@ -206,6 +206,8 @@ def _cmd_extract(args, ring):
 
 
 def _cmd_selftest(args, ring):
+    if args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
     ok = selftest.run(ring, args.suite, args.seed, args.count)
     print(f"selftest {args.suite}: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 3

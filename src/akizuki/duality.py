@@ -38,7 +38,7 @@ from typing import Callable
 from .cohomology import CohomologyClass
 from .errors import AlgebraError, NotInvertibleError, PrecisionError
 from .ring import AkizukiRing, NormalForm
-from .series import LaurentTail, TruncatedSeries, check_components, dual_mul
+from .series import LaurentTail, TruncatedSeries, check_components, dual_mul, fused
 from .series import raise_pair, strip_common_t
 
 
@@ -85,7 +85,7 @@ class ResiduePair:
         n = omega.exponent
         sig, rho = self._window(n, "class exponent")
         f = omega.numerator
-        return (f.x * sig + f.y * rho).principal_part(n)
+        return fused((1, f.x, sig), (1, f.y, rho)).principal_part(n)
 
     def forward(self, omega: CohomologyClass, r_index: int | None = None) -> "ContinuousHom":
         """The continuous hom obtained by pairing against omega.
@@ -99,11 +99,11 @@ class ResiduePair:
         n = omega.exponent
         sig, rho = self._window(n, "class exponent")
         f = omega.numerator
-        u = self.ring.t_partial_sum(n, r_index)
-        a = f.x + u * f.y
-        d = rho - u * sig
-        alpha = a * sig + f.y * d
-        return ContinuousHom.make(self.ring, alpha, a * d + u * alpha)
+        u = self.ring.u_terms(n, r_index)
+        a = fused((1, f.x), (1, f.y, u))
+        d = fused((1, rho), (-1, sig, u))
+        alpha = fused((1, a, sig), (1, f.y, d))
+        return ContinuousHom.make(self.ring, alpha, fused((1, a, d), (1, alpha, u)))
 
     def inverse(self, hom: "ContinuousHom", r_index: int | None = None) -> CohomologyClass:
         """The class sent to a given continuous hom (requires rho a unit).
@@ -119,11 +119,11 @@ class ResiduePair:
             )
         n = hom.level
         sig, rho = self._window(n, "hom level")
-        u = self.ring.t_partial_sum(n, r_index)
-        e = (rho - u * sig).invert()
-        a = (hom.beta - u * hom.alpha) * e
-        y = (hom.alpha - a * sig) * e
-        return CohomologyClass.make(self.ring.nf(a - u * y, y), n)
+        u = self.ring.u_terms(n, r_index)
+        e = fused((1, rho), (-1, sig, u)).invert()
+        a = fused((1, hom.beta), (-1, hom.alpha, u)) * e
+        y = fused((1, hom.alpha), (-1, a, sig)) * e
+        return CohomologyClass.make(self.ring.nf(fused((1, a), (-1, y, u)), y), n)
 
     # ------------------------------------------------------------------
 
@@ -178,7 +178,7 @@ class ContinuousHom:
                 f"element level {f.level} below hom level {self.level}"
             )
         g = f.truncate(self.level)
-        return (g.x * self.alpha + g.y * self.beta).principal_part(self.level)
+        return fused((1, g.x, self.alpha), (1, g.y, self.beta)).principal_part(self.level)
 
     def raised_numerators(self, n: int) -> tuple[TruncatedSeries, TruncatedSeries]:
         return raise_pair(self.alpha, self.beta, n)
@@ -310,7 +310,7 @@ class CompletionElement:
         self._compat(other)
         return CompletionElement(
             self.ring,
-            *dual_mul(self.rho, self.sigma, other.rho, other.sigma, -self.ring.w),
+            *dual_mul(self.rho, self.sigma, other.rho, other.sigma, self.ring.neg_w),
         )
 
     def mul_via_composition(self, other: "CompletionElement", unit: "CompletionElement") -> "CompletionElement":

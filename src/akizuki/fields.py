@@ -13,8 +13,9 @@ work on a whole window of values at once:
   sums, differences, negation and scaling make one call per window;
 - ``to_ints(values)`` gives integers n_i over one common denominator d,
   with the least and the largest n_i (over F_p simply 0 and p - 1, with no
-  scan), for the packed series product;
-- ``from_ints(ints, d)`` turns the product's integers back into values.
+  scan), for the packed series kernel;
+- ``from_ints(ints, d)`` turns the integers of the kernel's sum of
+  products back into values.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InstanceError, NotInvertibleError, PrecisionError
-from .series import TruncatedSeries, check_components, dual_invert, dual_mul
+from .series import Terms, TruncatedSeries, check_components, dual_invert, dual_mul, fused
 
 MINIMAL = "minimal"
 
@@ -122,9 +122,12 @@ class AkizukiRing:
             raise InstanceError("every coefficient a_i must be a unit")
         self.units = tuple(us)
 
-        # Derived data: z and w = t(z - a_0).
+        # Derived data: z and w = t(z - a_0), and -w as sparse terms.
         self.z = self._terms(0, count, precision)
         self.w = self._terms(1, count, precision).shift(1)
+        self.neg_w = Terms(
+            (n_j + 1, field.neg(a_j)) for n_j, a_j in zip(ns[1:], us[1:]) if n_j + 1 < precision
+        )
 
     # ------------------------------------------------------------------
     # instance data
@@ -178,11 +181,20 @@ class AkizukiRing:
         Every admissible choice yields the same window, which is what makes
         normal-form products independent of r.
         """
+        return self.partial_sum_at(self._admissible(m, r_index), m).shift(1)
+
+    def u_terms(self, m: int, r_index: int | None = None) -> Terms:
+        """u = t * s_r mod t^m (see ``t_partial_sum``) as sparse terms."""
+        r = self._admissible(m, r_index)
+        pairs = zip(self.exponents[1 : r + 1], self.units[1 : r + 1])
+        return Terms((n_j + 1, a_j) for n_j, a_j in pairs if n_j + 1 < m)
+
+    def _admissible(self, m: int, r_index: int | None) -> int:
         least = self.reduction_index(m)
         r = least if r_index is None else r_index
         if not least <= r <= self.top_index:
             raise ValueError(f"reduction index {r} not admissible at level {m}")
-        return self.partial_sum_at(r, m).shift(1)
+        return r
 
     # ------------------------------------------------------------------
     # element construction
@@ -321,7 +333,7 @@ class NormalForm:
     def mul(self, other, r_index: int | None = None) -> "NormalForm":
         """Product, rewriting w^2 = 2 t s_r w - t^2 s_r^2 at this level."""
         self._compat(other)
-        u = self.ring.t_partial_sum(self.level, r_index)
+        u = self.ring.u_terms(self.level, r_index)
         return NormalForm(self.ring, *dual_mul(self.x, self.y, other.x, other.y, u))
 
     def __mul__(self, other):
@@ -338,12 +350,13 @@ class NormalForm:
             raise NotInvertibleError(
                 "not a unit of the local ring: the A-part has no constant term"
             )
-        u = self.ring.t_partial_sum(self.level, r_index)
+        u = self.ring.u_terms(self.level, r_index)
         return NormalForm(self.ring, *dual_invert(self.x, self.y, u))
 
     def embed(self) -> TruncatedSeries:
-        """The image x + y * t(z - a_0) in the completed DVR, mod t^level."""
-        return self.x + self.y * self.ring.w.truncate(self.level)
+        """The image x + y * t(z - a_0) in the completed DVR, mod t^level
+        (one kernel call: x - y * (-w), with the ring's sparse -w)."""
+        return fused((1, self.x), (-1, self.y, self.ring.neg_w))
 
     def __str__(self) -> str:
         return f"({self.x}) + ({self.y})*w mod t^{self.level}"

@@ -8,24 +8,24 @@ windows are the explicit ``truncate``, ``shift`` and ``promote`` methods.
 
 Products go through one kernel, ``_window_mul``, by Kronecker substitution
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symbolic Comput. 2009): each window becomes integers over
-one common denominator (the lcm of its denominators over Q, 1 over F_p),
-the integers are packed into slots of one Python int, and one bignum
-product (Karatsuba in CPython) yields every coefficient at once; over F_p
-the slots are then reduced mod p.  A slot is the least whole number of
-bytes that holds every coefficient of the operands and of the product (over
-F_p that follows from p and the window length; over Q it widens with the
-bit size of the common denominator), with a sign bit, in two's complement,
-only when a value is negative.  Slots of up to 8 bytes are copied to and
-from ``array`` lanes by strided byte slices, so packing and unpacking cost a
-few C-level calls per window, not one per coefficient; wider slots, which
-hold values of 2^64 or more, fall back to one ``int.to_bytes`` and
-``int.from_bytes`` per coefficient.  Inversion is Newton iteration
-g <- g + g (1 - f g) on the same kernel, doubling the known window each
-step, so it costs a few products instead of O(N^2) field operations
-(R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal power
-series", J. ACM 1978).  Sums, differences, negation and scaling go through
-one field call per window (``field.pointwise``).
+substitution", J. Symbolic Comput. 2009).  It returns the low coefficients
+of a whole sum of terms +-a b and +-a: each dense window becomes integers
+over one common denominator (1 over F_p), packed once per call into the
+slots of one Python int, so one bignum product (Karatsuba in CPython)
+yields every coefficient of a product, a sparse factor (a ``Terms`` list,
+such as u = t s_r and -w of the ring) adds a few shifted small multiples of
+a packed operand instead, and the result takes one unpack and one
+reduction.  Slots of up to 8 bytes move through ``array`` lanes by strided
+byte slices, wider ones by one ``int.to_bytes`` and ``int.from_bytes`` per
+value; ``_window_mul`` says how wide a slot is.  ``fused`` is the kernel on
+series: a product is its one-term case, and the dual-number helpers, the
+duality maps and the completion product make one call per result series.
+Inversion is Newton iteration g <- g + g (1 - f g) on the same kernel,
+doubling the known window each step, so it costs a few products instead of
+O(N^2) field operations (R. P. Brent and H. T. Kung, "Fast algorithms for
+manipulating formal power series", J. ACM 1978).  Sums, differences,
+negation and scaling of whole series go through one field call per window
+(``field.pointwise``).
 
 A LaurentTail models a finite principal part sum_{j>=1} d_j t^{-j}, i.e. the
 class of a fraction f/t^n modulo integral series.  One type serves all three
@@ -36,6 +36,7 @@ equality is plain coefficient comparison.
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from array import array
@@ -209,9 +210,9 @@ class TruncatedSeries:
     def _compat(self, other):
         if not isinstance(other, TruncatedSeries):
             raise TypeError(f"expected a series, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise PrecisionError("coefficient fields differ")
-        if other.precision != self.precision:
+        if len(other.coeffs) != len(self.coeffs):
             raise PrecisionError(
                 f"precision mismatch: {self.precision} vs {other.precision}"
             )
@@ -241,10 +242,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, LaurentTail):
             return NotImplemented
-        self._compat(other)
-        return TruncatedSeries(
-            self.field, tuple(_window_mul(self.field, self.coeffs, other.coeffs, self.precision))
-        )
+        return fused((1, self, other))
 
     def invert(self) -> "TruncatedSeries":
         """The multiplicative inverse mod t^N (constant term must be a unit).
@@ -259,8 +257,8 @@ class TruncatedSeries:
         k = 1
         while k < n:
             step = min(k, n - k)
-            h = _window_mul(field, f, g, k + step)[k:]
-            g += field.pointwise(operator.neg, _window_mul(field, g, h, step))
+            h = _window_mul(field, k + step, ((1, f, g),))[k:]
+            g += _window_mul(field, step, ((-1, g, h),))
             k += step
         return TruncatedSeries(field, tuple(g))
 
@@ -273,7 +271,10 @@ class TruncatedSeries:
             raise PrecisionError(
                 f"principal part at t^-{n} needs precision >= {n}, have {self.precision}"
             )
-        return LaurentTail.from_coeffs(self.field, [self.coeffs[n - j] for j in range(1, n + 1)])
+        vals = list(self.coeffs[n - 1 :: -1])  # d_j = c_{n-j}
+        while vals and self.field.is_zero(vals[-1]):
+            vals.pop()
+        return LaurentTail(self.field, tuple(vals))
 
     # ------------------------------------------------------------------
 
@@ -332,11 +333,8 @@ class LaurentTail:
         """The series g with self = class of g / t^n (requires depth <= n)."""
         if n < max(self.depth, 1):
             raise PrecisionError(f"depth {self.depth} does not fit over t^{n}")
-        field = self.field
-        coeffs = [field.zero()] * n
-        for j, d in enumerate(self.coeffs, start=1):
-            coeffs[n - j] = d
-        return TruncatedSeries(field, tuple(coeffs))
+        zeros = (self.field.zero(),) * (n - self.depth)
+        return TruncatedSeries(self.field, zeros + self.coeffs[::-1])
 
     def scaled_by(self, c: TruncatedSeries) -> "LaurentTail":
         """The class of c * self, for a scalar c known to enough precision."""
@@ -374,38 +372,139 @@ class LaurentTail:
 # the product kernel
 
 
-def _window_mul(field, a, b, n: int) -> list:
-    """The low n coefficients of a * b, for sequences of field values.
+class Terms(tuple):
+    """A sparse series: its (exponent, coefficient) pairs, the coefficients
+    field values at distinct exponents.  The kernel multiplies a packed
+    operand by one as a few shifted small multiples, with no bignum
+    product; pairs at or past the end of a window fall off it."""
 
-    The first n values of each operand become integers over one denominator
-    (``field.to_ints``, which also bounds them), packed into one big int
-    each with slot i holding the coefficient of t^i.  A slot is the least
-    whole number of bytes that holds every operand and product coefficient,
-    plus a sign bit when an operand has a negative integer (a short window
-    widens it to its lane; see _SHORT_BYTES), so one bignum product holds
-    the product's coefficients side by side.  Signed slots
-    are two's complement, and a negative slot borrows from the slot above:
-    adding ``half`` (the top bit of each of the low n slots) turns those n
-    slots into independent unsigned numbers, and flipping the same bits
-    again makes them two's complement.
+    __slots__ = ()
+
+
+def fused(*terms) -> TruncatedSeries:
+    """The sum of the terms (sign, a) = sign a and (sign, a, b) = sign a b,
+    for sign +1 or -1, in one kernel call.
+
+    Each a is a series and each b a series of the same field and precision
+    or a ``Terms``; the result has that precision.
     """
-    xs, dx, low_x, high_x = field.to_ints(a[:n])
-    ys, dy, low_y, high_y = field.to_ints(b[:n])
-    top_x, top_y = max(high_x, -low_x), max(high_y, -low_y)
-    signed = low_x < 0 or low_y < 0
-    bound = max(top_x * top_y * min(len(xs), len(ys)), top_x, top_y)
-    size = max(1, (bound.bit_length() + signed + 7) // 8)
+    lead = terms[0][1]
+    flat = []
+    for sign, a, *b in terms:
+        b = b[0] if b else None
+        if a is not lead:
+            lead._compat(a)
+        if b is not None and type(b) is not Terms:
+            if b is not lead:
+                lead._compat(b)
+            b = b.coeffs
+        flat.append((sign, a.coeffs, b))
+    field = lead.field
+    return TruncatedSeries(field, tuple(_window_mul(field, len(lead.coeffs), flat)))
+
+
+def _window_mul(field, n: int, terms) -> list:
+    """The low n coefficients of a sum of terms over sequences of field values.
+
+    A term is (sign, a, b) with sign +1 or -1 and a dense: sign a b for a
+    dense b, sign a for b None, and the sum of sign c t^e a over the pairs
+    (e, c) of a ``Terms`` b.  Every dense operand becomes integers over one
+    denominator (``field.to_ints``, which also bounds them) and is packed
+    once into a big int, slot i holding the coefficient of t^i, so the
+    product of two packed operands holds the product's coefficients side by
+    side and packed terms add slot by slot.  Each term is scaled to one
+    denominator D for the whole sum (1 over F_p), so the result takes one
+    unpack and one ``field.from_ints``.  A slot is the least whole number
+    of bytes that holds every operand and the bound of the sum (over F_p
+    that follows from p and the window length, with no scan; a short window
+    widens it to its lane, see _SHORT_BYTES), plus a sign bit when a value
+    can be negative.  Over F_p none is: a subtracted dense term P enters as
+    M - P, for M the least multiple of p at or above P's bound, and a sparse
+    coefficient c of a subtracted term as p - c.  Signed slots are two's
+    complement, and a negative slot borrows from the slot above: adding
+    ``half`` (the top bit of each of the low n slots) turns those n slots
+    into independent unsigned numbers, and flipping the same bits again
+    makes them two's complement.
+    """
+    ints = {}  # id of a dense operand -> (integers, denominator, least, largest)
+    parts = []  # (sign, a, b, denominator); a sparse b as integer Terms
+    top = bound = offset = 0
+    signed, den = False, 1  # bound: of the sum so far, over its denominator den
+    for sign, a, b in terms:
+        if b is None:
+            d = scale = 1
+            operands = (a,)
+        elif type(b) is Terms:
+            pairs = [(e, c if sign > 0 else field.neg(c)) for e, c in b if e < n]
+            if not pairs:
+                continue
+            cs, d, low, _ = field.to_ints([c for _, c in pairs])
+            signed |= low < 0
+            b, sign, scale = Terms(zip([e for e, _ in pairs], cs)), 1, sum(map(abs, cs))
+            operands = (a,)
+        else:
+            d, scale = 1, min(len(a), len(b), n)
+            operands = (a, b)
+        for x in operands:
+            got = ints.get(id(x))
+            if got is None:
+                got = ints[id(x)] = field.to_ints(x[:n])
+            _, dx, low, high = got
+            if low < 0:
+                signed, high = True, max(high, -low)
+            if high > top:
+                top = high
+            d *= dx
+            scale *= high
+        if sign < 0:
+            p = field.characteristic
+            if p:  # M - P for the least multiple M of p at or above the bound
+                scale = -(-scale // p) * p
+                offset += scale
+            else:
+                signed = True
+        parts.append((sign, a, b, d))
+        if d == den:
+            bound += scale
+        else:
+            common = math.lcm(den, d)
+            bound = bound * (common // den) + scale * (common // d)
+            den = common
+    if not parts:
+        return [field.zero()] * n
+    size = max(1, (max(bound, top).bit_length() + signed + 7) // 8)
     if size <= _LANE and n * _lane_bytes(size) <= _SHORT_BYTES:
         size = _lane_bytes(size)
     width = n * size
     half = 0
     if signed:
         half = int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * n, "little")
-    product = _pack(xs, size, half) * _pack(ys, size, half)
+
+    for key, got in ints.items():  # from here on, ints holds packed operands
+        ints[key] = _pack(got[0], size, half)
+    total = None
+    for sign, a, b, d in parts:
+        x = ints[id(a)]
+        if b is None:
+            term = x
+        elif type(b) is Terms:
+            term = 0
+            for e, m in b:
+                term += m * (x << 8 * size * e)
+        else:
+            term = x * ints[id(b)]
+        if d != den:
+            term *= den // d
+        if total is None:  # no copy of the first term
+            total = term if sign > 0 else -term
+        else:
+            total = total + term if sign > 0 else total - term
+    if offset:
+        total += int.from_bytes(offset.to_bytes(size, "little") * n, "little")
     if signed:
-        product = (product + half) ^ half
-    raw = (product & ((1 << 8 * width) - 1)).to_bytes(width, "little")
-    return field.from_ints(_unpack(raw, size, signed), dx * dy)
+        total = (total + half) ^ half
+    raw = (total & ((1 << 8 * width) - 1)).to_bytes(width, "little")
+    return field.from_ints(_unpack(raw, size, signed), den)
 
 
 # Slots of at most 8 bytes move through ``array`` lanes: the narrowest
@@ -489,23 +588,25 @@ def _unpack(raw, size: int, signed: bool) -> list:
 
 
 def dual_mul(x1, y1, x2, y2, c):
-    """(x1 + y1 e)(x2 + y2 e) in S[e]/(e - c)^2, as the pair (x, y).
+    """(x1 + y1 e)(x2 + y2 e) in S[e]/(e - c)^2, as the pair (x, y), for a
+    sparse c (``Terms``).
 
     With v = e - c (v^2 = 0) and a = x + c y, the product of a + y v terms is
-    a1 a2 + b v, b = a1 y2 + a2 y1: three products of full windows, plus
-    three by the sparse c.
+    a1 a2 + b v, b = a1 y2 + a2 y1, and x = a1 a2 - c b: four kernel calls
+    with three bignum products, c entering as shifted adds.
     """
-    a1, a2 = x1 + c * y1, x2 + c * y2
-    b = a1 * y2 + a2 * y1
-    return a1 * a2 - c * b, b
+    a1, a2 = fused((1, x1), (1, y1, c)), fused((1, x2), (1, y2, c))
+    b = fused((1, a1, y2), (1, a2, y1))
+    return fused((1, a1, a2), (-1, b, c)), b
 
 
 def dual_invert(x, y, c):
-    """The inverse of x + y e in S[e]/(e - c)^2 (a = x + c y must be a unit):
-    (a + y v)^-1 = i - y i^2 v with i = a^-1, rewritten in the e basis."""
-    i = (x + c * y).invert()
-    y_inv = -(y * (i * i))
-    return i - c * y_inv, y_inv
+    """The inverse of x + y e in S[e]/(e - c)^2 for a sparse c (``Terms``;
+    a = x + c y must be a unit): (a + y v)^-1 = i - y i^2 v with i = a^-1,
+    rewritten in the e basis, one kernel call per series."""
+    i = fused((1, x), (1, y, c)).invert()
+    y_inv = fused((-1, y, i * i))
+    return fused((1, i), (-1, y_inv, c)), y_inv
 
 
 def check_components(value, first, second, full=False):

@@ -33,22 +33,29 @@ RING_P2 = AkizukiRing(PrimeField(2), 31)
 
 
 def naive_mul(a, b, field, n):
-    out = [field.zero()] * n
-    for i in range(min(len(a), n)):
-        for j in range(min(len(b), n - i)):
-            out[i + j] = field.add(out[i + j], field.mul(a[i], b[j]))
-    return out
+    """Schoolbook product mod t^n: plain sums of the pairwise products of
+    the nonzero coefficients, each sum made canonical once at the end."""
+    acc = [0] * n
+    right = [(j, y) for j, y in enumerate(b[:n]) if not field.is_zero(y)]
+    for i, x in enumerate(a[:n]):
+        if field.is_zero(x):
+            continue
+        for j, y in right:
+            if i + j >= n:
+                break
+            acc[i + j] += x * y
+    zero = field.zero()
+    return [field.add(zero, v) for v in acc]
 
 
 def naive_inv(a, field, n):
+    """The inverse mod t^n by the recurrence sum_{i<=k} a_i out_{k-i} = 0."""
     lead = field.inv(a[0])
+    zero = field.zero()
     out = [lead]
     for k in range(1, n):
-        acc = field.zero()
-        for i in range(1, k + 1):
-            if i < len(a):
-                acc = field.add(acc, field.mul(a[i], out[k - i]))
-        out.append(field.neg(field.mul(acc, lead)))
+        acc = sum(a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+        out.append(field.neg(field.mul(field.add(zero, acc), lead)))
     return out
 
 

@@ -209,6 +209,15 @@ def test_selftest_ok_and_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_selftest_count_below_one_is_parse_error(capsys, count):
+    code, out, err = run_cli(capsys, "selftest", "series", "--count", count)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("parse error: ")
+
+
 def test_selftest_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "bogus"])
