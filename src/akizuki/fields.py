@@ -126,8 +126,8 @@ class RationalField:
 
     def pointwise(self, op, *windows) -> tuple:
         """op applied coefficient by coefficient (Fraction arithmetic is
-        already canonical)."""
-        return tuple(map(op, *windows))
+        already canonical), in a tuple built at its exact size."""
+        return tuple([*map(op, *windows)])
 
     def to_ints(self, values):
         """Integers n_i, one denominator d with values[i] = n_i / d, and the

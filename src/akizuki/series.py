@@ -20,12 +20,17 @@ byte slices, wider ones by one ``int.to_bytes`` and ``int.from_bytes`` per
 value; ``_window_mul`` says how wide a slot is.  ``fused`` is the kernel on
 series: a product is its one-term case, and the dual-number helpers, the
 duality maps and the completion product make one call per result series.
+``fused`` first screens its terms, so exact 0 and 1 operands (the standard
+unit comp(1; 0), the probes gf(1; 0; N), 1 and w) stay out of the kernel: a
+zero factor drops its term, a factor 1 drops its product, and a sum left
+with no term or with the single term +a makes no kernel call.
 Inversion is Newton iteration g <- g + g (1 - f g) on the same kernel,
 doubling the known window each step, so it costs a few products instead of
 O(N^2) field operations (R. P. Brent and H. T. Kung, "Fast algorithms for
-manipulating formal power series", J. ACM 1978).  Sums, differences,
-negation and scaling of whole series go through one field call per window
-(``field.pointwise``).
+manipulating formal power series", J. ACM 1978); it starts past the zero
+coefficients that follow f_0, so a constant costs one field inversion.
+Sums, differences, negation and scaling of whole series go through one
+field call per window (``field.pointwise``).
 
 A LaurentTail models a finite principal part sum_{j>=1} d_j t^{-j}, i.e. the
 class of a fraction f/t^n modulo integral series.  One type serves all three
@@ -41,7 +46,7 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import repeat, zip_longest
+from itertools import compress, islice, repeat, zip_longest
 
 from .errors import ExactDivisionError, NotInvertibleError, PrecisionError
 
@@ -248,13 +253,18 @@ class TruncatedSeries:
         """The multiplicative inverse mod t^N (constant term must be a unit).
 
         Newton iteration g <- g + g (1 - f g): if f g = 1 mod t^k, then
-        f g = 1 + t^k h and the step doubles the known window.
+        f g = 1 + t^k h and the step doubles the known window.  It starts
+        at the first nonzero coefficient f_k past f_0, since f_0^-1 is
+        exact below it: a constant costs one field inversion, and
+        f_0 + t^m h skips every step below m.
         """
         field, f, n = self.field, self.coeffs, self.precision
         if not self.is_unit():
             raise NotInvertibleError("series has no constant term, so no inverse")
-        g = [field.inv(f[0])]
-        k = 1
+        g, k = [field.inv(f[0])], 1
+        if n > 1 and not f[1]:  # f_0^-1 is exact up to the next nonzero f_k
+            k = next(compress(range(2, n), islice(f, 2, None)), n)
+            g += [field.zero()] * (k - 1)
         while k < n:
             step = min(k, n - k)
             h = _window_mul(field, k + step, ((1, f, g),))[k:]
@@ -386,7 +396,14 @@ def fused(*terms) -> TruncatedSeries:
     for sign +1 or -1, in one kernel call.
 
     Each a is a series and each b a series of the same field and precision
-    or a ``Terms``; the result has that precision.
+    or a ``Terms``; the result has that precision.  After those checks the
+    terms are screened: a term with a zero dense factor drops out, a dense
+    factor equal to 1 leaves (sign, other), and a sum left with no term is
+    the zero series and one left with the single term (+1, a) is a itself,
+    with no kernel call.  Each test stops at the first nonzero coefficient
+    of a dense operand, so dense operands pay about nothing for it.  The
+    tests read canonical values directly: the zero of either field is
+    falsy and its one equals the int 1.
     """
     lead = terms[0][1]
     flat = []
@@ -394,13 +411,28 @@ def fused(*terms) -> TruncatedSeries:
         b = b[0] if b else None
         if a is not lead:
             lead._compat(a)
+        x = a.coeffs
         if b is not None and type(b) is not Terms:
             if b is not lead:
                 lead._compat(b)
-            b = b.coeffs
-        flat.append((sign, a.coeffs, b))
-    field = lead.field
-    return TruncatedSeries(field, tuple(_window_mul(field, len(lead.coeffs), flat)))
+            y = b.coeffs
+            if y[0] == 1 and not any(islice(y, 1, None)):  # b = 1
+                b = None
+            elif x[0] == 1 and not any(islice(x, 1, None)):  # a = 1
+                a, x, b = b, y, None
+            elif not (y[0] or any(y)):  # y[0] first spares most any() calls
+                continue
+            else:
+                b = y
+        if x[0] or any(x):
+            flat.append((sign, x, b))
+            kept = a
+    field, n = lead.field, len(lead.coeffs)
+    if not flat:
+        return TruncatedSeries(field, (field.zero(),) * n)
+    if len(flat) == 1 and flat[0][0] > 0 and flat[0][2] is None:
+        return kept
+    return TruncatedSeries(field, tuple(_window_mul(field, n, flat)))
 
 
 def _window_mul(field, n: int, terms) -> list:

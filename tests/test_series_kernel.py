@@ -196,6 +196,7 @@ def test_q_numerators_at_the_lane_limit(v, slot_sizes):
     cases = [
         ([v], [-1]),
         ([v], [1]),
+        ([v // 2], [2]),
         ([v, -v, 1 - v], [0, 0, 0]),
         ([v, 5, -v], [1, -1, 2]),
         ([Fraction(v, 7), -third, third], [-third, Fraction(v, 5), 1]),
