@@ -30,8 +30,6 @@ def _common_flags(sub):
         "--output", choices=("pretty", "machine"), default="pretty",
         help="output style",
     )
-    sub.add_argument("--seed", type=int, default=0, help="selftest RNG seed")
-    sub.add_argument("--count", type=int, default=100, help="selftest cases per property")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run a seeded property suite")
     p.add_argument("suite", choices=selftest.SUITE_NAMES)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--count", type=int, default=100, help="cases per law")
     _common_flags(p)
 
     return parser
@@ -175,6 +175,8 @@ def _cmd_h1(args, ring):
 
 
 def _cmd_complete(args, ring):
+    if args.unit is not None and args.op != "mul":
+        raise ParseError(f"--unit applies to complete mul, not complete {args.op}")
     if args.op == "embed":
         (expr_text,) = _need(args.args, 1, "complete embed <expr>")
         level = _level(args, ring)

@@ -38,20 +38,18 @@ from typing import Callable
 from .cohomology import CohomologyClass
 from .errors import AlgebraError, NotInvertibleError, PrecisionError
 from .ring import AkizukiRing, NormalForm
-from .series import LaurentTail, TruncatedSeries, check_components, dual_mul, fused
+from .series import LaurentTail, SeriesPair, TruncatedSeries, dual_mul, fused
 from .series import raise_pair, strip_common_t
 
 
 @dataclass(frozen=True)
-class ResiduePair:
+class ResiduePair(SeriesPair):
     """The defining data (sigma, rho) of a residue map, at one precision."""
 
     ring: AkizukiRing
     sigma: TruncatedSeries
     rho: TruncatedSeries
-
-    def __post_init__(self):
-        check_components(self, self.sigma, self.rho)
+    _parts = ("sigma", "rho")
 
     @property
     def precision(self) -> int:
@@ -63,13 +61,6 @@ class ResiduePair:
 
     def truncated(self, n: int) -> "ResiduePair":
         return ResiduePair(self.ring, self.sigma.truncate(n), self.rho.truncate(n))
-
-    def __add__(self, other):
-        if not isinstance(other, ResiduePair):
-            return NotImplemented
-        if other.ring is not self.ring:
-            raise ValueError("pairs belong to different ring instances")
-        return ResiduePair(self.ring, self.sigma + other.sigma, self.rho + other.rho)
 
     # ------------------------------------------------------------------
     # the three maps
@@ -135,7 +126,7 @@ class ResiduePair:
 
 
 @dataclass(frozen=True)
-class ContinuousHom:
+class ContinuousHom(SeriesPair):
     """A continuous A-linear map C_M -> K/A killing t^n C_M.
 
     Determined by the level n and the numerators alpha, beta of its values
@@ -148,9 +139,7 @@ class ContinuousHom:
     ring: AkizukiRing
     alpha: TruncatedSeries
     beta: TruncatedSeries
-
-    def __post_init__(self):
-        check_components(self, self.alpha, self.beta)
+    _parts = ("alpha", "beta")
 
     @property
     def level(self) -> int:
@@ -165,9 +154,6 @@ class ContinuousHom:
     def zero(cls, ring: AkizukiRing) -> "ContinuousHom":
         z = TruncatedSeries.zero(ring.field, 1)
         return cls(ring, z, z)
-
-    def is_zero(self) -> bool:
-        return self.alpha.is_zero() and self.beta.is_zero()
 
     def __call__(self, f: NormalForm) -> LaurentTail:
         """Evaluate on a ring element given at level >= the hom level."""
@@ -191,16 +177,12 @@ class ContinuousHom:
         return self.raised_numerators(n) == other.raised_numerators(n)
 
     def __add__(self, other):
-        if not isinstance(other, ContinuousHom):
-            return NotImplemented
-        if other.ring is not self.ring:
-            raise ValueError("homs belong to different ring instances")
+        """The sum at the larger level, canonicalized (so is the inherited
+        difference)."""
+        self._compat(other)
         n = max(self.level, other.level)
         (a1, b1), (a2, b2) = self.raised_numerators(n), other.raised_numerators(n)
         return ContinuousHom.make(self.ring, a1 + a2, b1 + b2)
-
-    def __neg__(self):
-        return ContinuousHom(self.ring, -self.alpha, -self.beta)
 
     def __str__(self) -> str:
         return f"hom({self.level};{self.alpha};{self.beta})"
@@ -237,7 +219,7 @@ def extract_pair(
 
 
 @dataclass(frozen=True)
-class CompletionElement:
+class CompletionElement(SeriesPair):
     """An element rho + sigma X of the completed ring A^[X]/(X + t(z-a_0))^2.
 
     Both components live at full working precision.  comp(rho; sigma)
@@ -250,9 +232,8 @@ class CompletionElement:
     ring: AkizukiRing
     rho: TruncatedSeries
     sigma: TruncatedSeries
-
-    def __post_init__(self):
-        check_components(self, self.rho, self.sigma, full=True)
+    _parts = ("rho", "sigma")
+    _full = True
 
     @classmethod
     def one(cls, ring: AkizukiRing) -> "CompletionElement":
@@ -281,28 +262,6 @@ class CompletionElement:
     def pair(self) -> ResiduePair:
         """The residue pair whose duality map this element encodes."""
         return ResiduePair(self.ring, self.sigma, self.rho)
-
-    def _compat(self, other):
-        if not isinstance(other, CompletionElement):
-            raise TypeError(
-                f"expected a completion element, got {type(other).__name__}"
-            )
-        if other.ring is not self.ring:
-            raise ValueError("elements belong to different ring instances")
-
-    def is_zero(self) -> bool:
-        return self.rho.is_zero() and self.sigma.is_zero()
-
-    def __add__(self, other):
-        self._compat(other)
-        return CompletionElement(self.ring, self.rho + other.rho, self.sigma + other.sigma)
-
-    def __sub__(self, other):
-        self._compat(other)
-        return CompletionElement(self.ring, self.rho - other.rho, self.sigma - other.sigma)
-
-    def __neg__(self):
-        return CompletionElement(self.ring, -self.rho, -self.sigma)
 
     def __mul__(self, other):
         """The closed product: (r1 + s1 X)(r2 + s2 X) with X^2 = -2wX - w^2,

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InstanceError, NotInvertibleError, PrecisionError
-from .series import Terms, TruncatedSeries, check_components, dual_invert, dual_mul, fused
+from .series import SeriesPair, Terms, TruncatedSeries, dual_invert, dual_mul, fused
 
 MINIMAL = "minimal"
 
@@ -285,7 +285,7 @@ class AkizukiRing:
 
 
 @dataclass(frozen=True)
-class NormalForm:
+class NormalForm(SeriesPair):
     """The class of x + y*w modulo t^m C_M.
 
     Both components are series at precision m (the *level* of the form).
@@ -296,21 +296,11 @@ class NormalForm:
     ring: AkizukiRing
     x: TruncatedSeries
     y: TruncatedSeries
-
-    def __post_init__(self):
-        check_components(self, self.x, self.y)
+    _parts = ("x", "y")
 
     @property
     def level(self) -> int:
         return self.x.precision
-
-    def _compat(self, other):
-        if not isinstance(other, NormalForm):
-            raise TypeError(f"expected a normal form, got {type(other).__name__}")
-        if other.ring is not self.ring:
-            raise ValueError("normal forms belong to different ring instances")
-        if other.level != self.level:
-            raise PrecisionError(f"level mismatch: {self.level} vs {other.level}")
 
     def is_unit(self) -> bool:
         """Units of the local ring: forms whose A-part has a unit constant."""
@@ -318,17 +308,6 @@ class NormalForm:
 
     def truncate(self, m: int) -> "NormalForm":
         return NormalForm(self.ring, self.x.truncate(m), self.y.truncate(m))
-
-    def __add__(self, other):
-        self._compat(other)
-        return NormalForm(self.ring, self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        self._compat(other)
-        return NormalForm(self.ring, self.x - other.x, self.y - other.y)
-
-    def __neg__(self):
-        return NormalForm(self.ring, -self.x, -self.y)
 
     def mul(self, other, r_index: int | None = None) -> "NormalForm":
         """Product, rewriting w^2 = 2 t s_r w - t^2 s_r^2 at this level."""

@@ -641,18 +641,52 @@ def dual_invert(x, y, c):
     return fused((1, i), (-1, y_inv, c)), y_inv
 
 
-def check_components(value, first, second, full=False):
-    """Both components over the ring's field at one precision, at most (with
-    ``full``, exactly) the working precision; otherwise PrecisionError."""
-    ring = value.ring
-    n, m, top = first.precision, second.precision, ring.precision
-    if first.field != ring.field or second.field != ring.field:
-        raise PrecisionError(f"{type(value).__name__} fields differ from the ring field")
-    if m != n or n > top or (full and n < top):
-        raise PrecisionError(
-            f"{type(value).__name__} component precisions {n} and {m} must agree and "
-            f"{'equal' if full else 'stay within'} the working precision {top}"
+class SeriesPair:
+    """Base of the types built on two series over one ring.
+
+    A subclass is a frozen dataclass of ``ring`` and two series, which it
+    names in ``_parts``.  Both series lie over the ring's field at one
+    precision, at most the working precision, or exactly it when ``_full``
+    is set; otherwise construction raises PrecisionError.  Zero test,
+    negation, addition and subtraction work componentwise.
+    """
+
+    _parts: tuple
+    _full = False
+
+    def __post_init__(self):
+        first, second = (getattr(self, part) for part in self._parts)
+        ring, name = self.ring, type(self).__name__
+        n, m, top = first.precision, second.precision, ring.precision
+        if first.field != ring.field or second.field != ring.field:
+            raise PrecisionError(f"{name} fields differ from the ring field")
+        if m != n or n > top or (self._full and n < top):
+            raise PrecisionError(
+                f"{name} component precisions {n} and {m} must agree and "
+                f"{'equal' if self._full else 'stay within'} the working precision {top}"
+            )
+
+    def _compat(self, other):
+        name = type(self).__name__
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {name}, got {type(other).__name__}")
+        if other.ring is not self.ring:
+            raise ValueError(f"{name} values belong to different ring instances")
+
+    def is_zero(self) -> bool:
+        return all(getattr(self, part).is_zero() for part in self._parts)
+
+    def __neg__(self):
+        return type(self)(self.ring, *(-getattr(self, part) for part in self._parts))
+
+    def __add__(self, other):
+        self._compat(other)
+        return type(self)(
+            self.ring, *(getattr(self, p) + getattr(other, p) for p in self._parts)
         )
+
+    def __sub__(self, other):
+        return self + -other
 
 
 def strip_common_t(x, y):

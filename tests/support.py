@@ -1,4 +1,5 @@
-"""Shared test support: independent oracles and random data generators.
+"""Shared test support: independent oracles, random data generators, and
+the runner for the registry of algebraic laws.
 
 The naive_* helpers implement series arithmetic from scratch on plain
 coefficient lists, so cross-checks against the package never share code
@@ -10,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hypothesis import strategies as st
+import pytest
 
 from akizuki import (
     AkizukiRing,
@@ -21,6 +22,7 @@ from akizuki import (
     RationalField,
     ResiduePair,
     TruncatedSeries,
+    selftest,
 )
 from akizuki.expressions import Atom, BinOp, Gen, Neg, Num, Pow
 
@@ -195,7 +197,7 @@ def naive_comp_mul(r1, s1, r2, s2, w, field):
 
 
 # ----------------------------------------------------------------------
-# seeded random data (used by the acceptance suite)
+# seeded random data
 
 
 def rand_elem(rng: random.Random, field, nonzero=False):
@@ -288,51 +290,25 @@ def rand_tree(rng, depth):
 
 
 # ----------------------------------------------------------------------
-# hypothesis strategies
+# the law registry
+
+LAW_CASES = 40  # cases of each law on each ring in tier-1
 
 
-def coeff_st(field):
-    if field.characteristic == 0:
-        return st.fractions(min_value=-4, max_value=4, max_denominator=5)
-    return st.integers(min_value=0, max_value=field.characteristic - 1)
+def assert_laws(ring, *laws, seed=0, count=LAW_CASES):
+    """Each registry law "suite.name" of ``akizuki.selftest`` holds on
+    ``count`` seeded cases over ``ring``."""
+    for law in laws:
+        failure = selftest.check(ring, *law.split("."), seed, count)
+        assert failure is None, f"{law} over {ring.field}, case {failure[0]}: {failure[1]}"
 
 
-def series_st(field, precision):
-    return st.lists(coeff_st(field), min_size=precision, max_size=precision).map(
-        lambda cs: TruncatedSeries(field, tuple(cs))
-    )
+def law_test(*laws, rings=(RING_Q, RING_P101)):
+    """A test running registry laws on each ring at seed 1, so it adds
+    cases to those of tests/test_properties.py (seed 0)."""
 
+    @pytest.mark.parametrize("ring", rings, ids=lambda r: str(r.field))
+    def test(ring):
+        assert_laws(ring, *laws, seed=1)
 
-def unit_series_st(field, precision):
-    return st.tuples(
-        coeff_st(field).filter(lambda c: not field.is_zero(c)),
-        st.lists(coeff_st(field), min_size=precision - 1, max_size=precision - 1),
-    ).map(lambda pair: TruncatedSeries(field, (pair[0],) + tuple(pair[1])))
-
-
-def nf_st(ring, precision):
-    return st.tuples(
-        series_st(ring.field, precision), series_st(ring.field, precision)
-    ).map(lambda pair: ring.nf(pair[0], pair[1]))
-
-
-def klass_st(ring, max_exponent):
-    return st.integers(1, max_exponent).flatmap(
-        lambda n: nf_st(ring, n).map(lambda f: CohomologyClass.make(f, n))
-    )
-
-
-def hom_st(ring, max_level):
-    return st.integers(1, max_level).flatmap(
-        lambda n: st.tuples(
-            series_st(ring.field, n), series_st(ring.field, n)
-        ).map(lambda ab: ContinuousHom.make(ring, ab[0], ab[1]))
-    )
-
-
-def pair_st(ring, invertible=True):
-    n = ring.precision
-    rho = unit_series_st(ring.field, n) if invertible else series_st(ring.field, n)
-    return st.tuples(series_st(ring.field, n), rho).map(
-        lambda sr: ResiduePair(ring, sr[0], sr[1])
-    )
+    return test

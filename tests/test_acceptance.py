@@ -1,18 +1,17 @@
 """Acceptance suite: the headline guarantees, one pass/fail line each.
 
-Every check is a seeded loop or a frozen golden value; nothing here uses
-hypothesis, so counts and data are exactly reproducible.
+Every check is a frozen golden value, a seeded loop, or a law of the
+registry ``akizuki.selftest.SUITES`` run at a fixed seed and case count, so
+counts and data are exactly reproducible.
 """
 
 import random
 
 from akizuki import (
-    CompletionElement,
     NotInvertibleError,
     TruncatedSeries,
     eval_nf,
     eval_series,
-    extract_pair,
     parse_gf,
     parse_pair,
     parse_series,
@@ -26,11 +25,6 @@ from support import (
     naive_gen,
     naive_mul,
     naive_w,
-    rand_comp,
-    rand_hom,
-    rand_klass,
-    rand_nf,
-    rand_pair,
     rand_tree,
 )
 
@@ -43,35 +37,25 @@ def report(label: str, ok: bool) -> None:
     assert ok, label
 
 
+def laws_hold(seed: int, *laws, ring=RING_Q) -> bool:
+    """Whether each registry law (name, count) holds on its seeded cases."""
+    return all(
+        selftest.check(ring, *name.split("."), seed, count) is None for name, count in laws
+    )
+
+
 # ----------------------------------------------------------------------
 
 
 def test_duality_roundtrips_500():
     """Inverse(forward) and forward(inverse) are the identity, 500 cases."""
-    rng = random.Random(101)
-    ok = True
-    for _ in range(500):
-        pair = rand_pair(rng, RING_Q)
-        omega = rand_klass(rng, RING_Q, 30)
-        ok = ok and pair.inverse(pair.forward(omega)) == omega
-        hom = rand_hom(rng, RING_Q, 30)
-        ok = ok and pair.forward(pair.inverse(hom)) == hom
-        if not ok:
-            break
+    ok = laws_hold(101, ("duality.roundtrip_class", 500), ("duality.roundtrip_hom", 500))
     report("duality roundtrips (500 seeded, both directions)", ok)
 
 
 def test_pairing_identity_500():
     """forward(pair, omega)(f) equals residue(pair, f * omega), 500 cases."""
-    rng = random.Random(102)
-    ok = True
-    for _ in range(500):
-        pair = rand_pair(rng, RING_Q, invertible=False)
-        omega = rand_klass(rng, RING_Q, 12)
-        f = rand_nf(rng, RING_Q, omega.exponent)
-        ok = ok and pair.forward(omega)(f) == pair.residue(omega.act(f))
-        if not ok:
-            break
+    ok = laws_hold(102, ("duality.defining_identity", 500))
     report("pairing identity hom(f) == res(f * omega) (500 seeded)", ok)
 
 
@@ -121,87 +105,34 @@ def test_completion_product_routes_200():
     """The closed product agrees with composition of duality maps through
     the unit comp(1;0) (200 cases), the product satisfies the commutative
     ring axioms (200 triples), and pairs add compatibly with residues."""
-    rng = random.Random(106)
-    one = CompletionElement.one(RING_Q)
-    ok = True
-    for _ in range(200):
-        a = rand_comp(rng, RING_Q)
-        b = rand_comp(rng, RING_Q)
-        ok = ok and a.mul_via_composition(b, one) == a * b
-        if not ok:
-            break
-    for _ in range(200):
-        a, b, c = (rand_comp(rng, RING_Q) for _ in range(3))
-        ok = ok and (a * b) * c == a * (b * c)
-        ok = ok and a * b == b * a
-        ok = ok and a * (b + c) == a * b + a * c
-        ok = ok and a * one == a
-        if not ok:
-            break
-    for _ in range(50):
-        p1 = rand_pair(rng, RING_Q, invertible=False)
-        p2 = rand_pair(rng, RING_Q, invertible=False)
-        omega = rand_klass(rng, RING_Q, 12)
-        ok = ok and (p1 + p2).residue(omega) == p1.residue(omega) + p2.residue(omega)
-        if not ok:
-            break
+    ok = laws_hold(
+        106,
+        ("completion.closed_vs_composed", 200),
+        ("completion.comp_axioms", 200),
+        ("duality.pair_additivity", 50),
+    )
     report("completion product: closed == composed (200) + ring axioms (200)", ok)
 
 
 def test_nilpotent_and_embedding_200():
     """X + w squares to zero at full precision, and the embedding of the
     local ring into the completion quotient is a ring homomorphism."""
-    eps = CompletionElement(RING_Q, RING_Q.w, TruncatedSeries.one(QQ, RING_Q.precision))
-    ok = not eps.is_zero() and (eps * eps).is_zero()
-    rng = random.Random(107)
-    for _ in range(200):
-        f = rand_nf(rng, RING_Q, RING_Q.precision)
-        g = rand_nf(rng, RING_Q, RING_Q.precision)
-        ok = ok and CompletionElement.embed(f * g) == CompletionElement.embed(f) * CompletionElement.embed(g)
-        ok = ok and CompletionElement.embed(f + g) == CompletionElement.embed(f) + CompletionElement.embed(g)
-        if not ok:
-            break
+    ok = laws_hold(107, ("completion.nilpotent", 1), ("completion.embed_multiplicative", 200))
     report("nilpotent (X + w)^2 == 0 + multiplicative embedding (200)", ok)
 
 
 def test_pair_extraction_100():
-    """Probing a blackbox duality map recovers (sigma, rho) mod t^n at
-    n in {5, 14, 30}, compatibly between consecutive levels."""
-    rng = random.Random(108)
-    ok = True
-    for _ in range(100):
-        pair = rand_pair(rng, RING_Q, invertible=False)
-        for n in (5, 14, 30):
-            found = extract_pair(RING_Q, pair.forward, n)
-            ok = ok and found.sigma == pair.sigma.truncate(n)
-            ok = ok and found.rho == pair.rho.truncate(n)
-            wider = extract_pair(RING_Q, pair.forward, n + 1)
-            ok = ok and wider.truncated(n).sigma == found.sigma
-            ok = ok and wider.truncated(n).rho == found.rho
-        if not ok:
-            break
+    """Probing a blackbox duality map recovers (sigma, rho) mod t^n, at
+    levels n drawn from 1..31 (5, 14 and 30 among them), compatibly between
+    consecutive levels."""
+    ok = laws_hold(108, ("completion.endo_extraction", 100))
     report("pair extraction at levels 5/14/30 + level compatibility (100)", ok)
 
 
 def test_reduction_index_independence_100():
     """Products and duality inverses are unchanged under every admissible
     choice of the rewriting index r."""
-    rng = random.Random(109)
-    ok = True
-    for _ in range(100):
-        m = rng.randint(2, 30)
-        f = rand_nf(rng, RING_Q, m)
-        g = rand_nf(rng, RING_Q, m)
-        base = f.mul(g)
-        for r in RING_Q.admissible_indices(m):
-            ok = ok and f.mul(g, r_index=r) == base
-        pair = rand_pair(rng, RING_Q)
-        hom = rand_hom(rng, RING_Q, m)
-        back = pair.inverse(hom)
-        for r in RING_Q.admissible_indices(hom.level):
-            ok = ok and pair.inverse(hom, r_index=r) == back
-        if not ok:
-            break
+    ok = laws_hold(109, ("ring.mul_r_independent", 100), ("duality.r_independent", 100))
     report("rewriting-index independence of mul and inverse (100)", ok)
 
 
@@ -248,19 +179,9 @@ def test_prime_field_degenerations():
     ok = ok and g0.y == parse_series("2*t + 2*t^5", F101, 12)
     ok = ok and g0.embed() == TruncatedSeries(F101, tuple(naive_gen(RING_P101, 0, 12)))
 
-    eps = CompletionElement(
-        RING_P101, RING_P101.w, TruncatedSeries.one(F101, RING_P101.precision)
+    ok = ok and laws_hold(
+        111, ("completion.nilpotent", 1), ("completion.embed_multiplicative", 200), ring=RING_P101
     )
-    ok = ok and (eps * eps).is_zero()
-    rng = random.Random(111)
-    for _ in range(200):
-        f = rand_nf(rng, RING_P101, RING_P101.precision)
-        g = rand_nf(rng, RING_P101, RING_P101.precision)
-        ok = ok and CompletionElement.embed(f * g) == CompletionElement.embed(
-            f
-        ) * CompletionElement.embed(g)
-        if not ok:
-            break
 
     lines: list[str] = []
     ok = ok and selftest.run(RING_P2, "all", seed=0, count=10, write=lines.append)

@@ -186,6 +186,21 @@ def test_complete_mul_bad_unit(capsys):
     assert "unit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complete", "add", "comp(1;0)", "comp(1;0)", "--unit", "comp(0;0)"],
+        ["complete", "embed", "1 + w", "--unit", "comp(1;0)"],
+    ],
+    ids=["add", "embed"],
+)
+def test_unit_outside_complete_mul_is_parse_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: --unit applies to complete mul, not complete {argv[1]}\n"
+
+
 # ----------------------------------------------------------------------
 # extraction, selftest, config plumbing
 
@@ -216,6 +231,14 @@ def test_selftest_count_below_one_is_parse_error(capsys, count):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--count"])
+def test_selftest_flags_belong_to_selftest_only(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", "t", flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_selftest_unknown_suite_is_usage_error(capsys):

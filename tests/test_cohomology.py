@@ -1,8 +1,6 @@
 """Classes of generalized fractions (x + y*w)/t^n and their module structure."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from akizuki import (
     CohomologyClass,
@@ -12,7 +10,7 @@ from akizuki import (
     parse_gf,
     parse_series,
 )
-from support import RING_P101, RING_Q, klass_st, nf_st
+from support import RING_Q, law_test
 
 QQ = RationalField()
 
@@ -130,50 +128,9 @@ def test_addition_and_negation():
     assert (a + (-a)).is_zero()
 
 
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_addition_laws(ring):
-    @given(klass_st(ring, 8), klass_st(ring, 8), klass_st(ring, 8))
-    def check(a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a + CohomologyClass.zero(ring) == a
+# the module laws: written once, in akizuki.selftest.SUITES
 
-    check()
-
-
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_action_is_bilinear(ring):
-    @given(klass_st(ring, 8), klass_st(ring, 8), nf_st(ring, 8), nf_st(ring, 8))
-    def check(a, b, f, g):
-        n = max(a.exponent, b.exponent)
-        ft, gt = f.truncate(n), g.truncate(n)
-        assert (a + b).act(ft) == a.act(ft.truncate(a.exponent)) + b.act(
-            ft.truncate(b.exponent)
-        )
-        assert a.act((ft + gt).truncate(a.exponent)) == a.act(
-            ft.truncate(a.exponent)
-        ) + a.act(gt.truncate(a.exponent))
-
-    check()
-
-
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_action_is_associative(ring):
-    @given(klass_st(ring, 8), nf_st(ring, 8), nf_st(ring, 8))
-    def check(a, f, g):
-        n = a.exponent
-        ft, gt = f.truncate(n), g.truncate(n)
-        assert a.act(ft * gt) == a.act(ft).act(gt.truncate(a.act(ft).exponent))
-
-    check()
-
-
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_raising_leaves_class_fixed(ring):
-    @given(klass_st(ring, 8), st.integers(0, 4))
-    def check(a, k):
-        n = a.exponent + k
-        raised = CohomologyClass.make(a.raised_numerator(n), n)
-        assert raised == a
-
-    check()
+test_addition_laws = law_test("cohomology.addition")
+test_action_is_bilinear = law_test("cohomology.bilinearity")
+test_action_is_associative = law_test("cohomology.action_compatible")
+test_raising_leaves_class_fixed = law_test("cohomology.raising_invariance")

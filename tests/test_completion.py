@@ -1,7 +1,5 @@
 """The quotient A^[X]/(X + t(z - a_0))^2 and its two product routes."""
 
-import random
-
 import pytest
 
 from akizuki import (
@@ -11,9 +9,8 @@ from akizuki import (
     RationalField,
     TruncatedSeries,
     parse_comp,
-    parse_series,
 )
-from support import RING_P2, RING_P101, RING_Q, rand_comp, rand_nf
+from support import RING_P2, RING_P101, RING_Q, assert_laws, law_test
 
 QQ = RationalField()
 N = RING_Q.precision
@@ -50,37 +47,11 @@ def test_x_squared_relation():
 
 
 # ----------------------------------------------------------------------
-# ring axioms and the embedding
+# ring axioms and the embedding (laws written once, in akizuki.selftest)
 
 
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_ring_axioms(ring):
-    rng = random.Random(23)
-    one = CompletionElement.one(ring)
-    zero = CompletionElement.zero(ring)
-    for _ in range(30):
-        a, b, c = (rand_comp(rng, ring) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        assert a * one == a
-        assert a + zero == a
-        assert (a - a).is_zero()
-
-
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_embed_is_a_ring_hom(ring):
-    rng = random.Random(29)
-    for _ in range(30):
-        f = rand_nf(rng, ring, ring.precision)
-        g = rand_nf(rng, ring, ring.precision)
-        assert CompletionElement.embed(f + g) == CompletionElement.embed(
-            f
-        ) + CompletionElement.embed(g)
-        assert CompletionElement.embed(f * g) == CompletionElement.embed(
-            f
-        ) * CompletionElement.embed(g)
-    assert CompletionElement.embed(ring.one_nf(ring.precision)) == CompletionElement.one(ring)
+test_ring_axioms = law_test("completion.comp_axioms")
+test_embed_is_a_ring_hom = law_test("completion.embed_multiplicative")
 
 
 def test_embed_requires_full_precision():
@@ -99,29 +70,12 @@ def test_embed_golden():
 # closed product vs composition of duality maps
 
 
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_closed_equals_composed(ring):
-    rng = random.Random(31)
-    unit = CompletionElement.one(ring)
-    for _ in range(10):
-        a = rand_comp(rng, ring)
-        b = rand_comp(rng, ring)
-        assert a.mul_via_composition(b, unit) == a * b
+test_closed_equals_composed = law_test("completion.closed_vs_composed")
 
 
 def test_composition_with_nontrivial_unit():
     """Relative to a unit e, composition computes a * e^{-1} * b."""
-    rng = random.Random(37)
-    two = CompletionElement(
-        RING_Q,
-        TruncatedSeries.constant(QQ, 2, N),
-        TruncatedSeries.zero(QQ, N),
-    )
-    for _ in range(5):
-        a = rand_comp(rng, RING_Q)
-        b = rand_comp(rng, RING_Q)
-        doubled = (a.mul_via_composition(b, two) + a.mul_via_composition(b, two))
-        assert doubled == a * b
+    assert_laws(RING_Q, "completion.unit_composition", seed=1)
 
 
 def test_composition_rejects_bad_unit():

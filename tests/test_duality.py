@@ -1,9 +1,6 @@
 """Residues, the duality map and its inverse, and pair extraction."""
 
-import random
-
 import pytest
-from hypothesis import given
 
 from akizuki import (
     AlgebraError,
@@ -20,17 +17,7 @@ from akizuki import (
     parse_pair,
     parse_series,
 )
-from support import (
-    RING_P101,
-    RING_Q,
-    hom_st,
-    klass_st,
-    pair_st,
-    rand_hom,
-    rand_klass,
-    rand_nf,
-    rand_pair,
-)
+from support import RING_Q, assert_laws, law_test
 
 QQ = RationalField()
 
@@ -138,64 +125,26 @@ def test_inverse_needs_unit_rho():
 
 
 # ----------------------------------------------------------------------
-# the defining identity:  forward(pair, omega)(f) == residue(pair, f * omega)
+# the duality laws, written once in akizuki.selftest.SUITES: the defining
+# identity forward(pair, omega)(f) == residue(pair, f * omega), roundtrips,
+# r-independence, additivity in the pair and canonical levels
 
 
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_defining_identity(ring):
-    rng = random.Random(71)
-    for _ in range(40):
-        pair = rand_pair(rng, ring, invertible=False)
-        omega = rand_klass(rng, ring, 10)
-        hom = pair.forward(omega)
-        f = rand_nf(rng, ring, omega.exponent)
-        assert hom(f) == pair.residue(omega.act(f))
-
-
-# ----------------------------------------------------------------------
-# roundtrips
-
-
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_roundtrip_class(ring):
-    @given(pair_st(ring), klass_st(ring, 12))
-    def check(pair, omega):
-        assert pair.inverse(pair.forward(omega)) == omega
-
-    check()
-
-
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_roundtrip_hom(ring):
-    @given(pair_st(ring), hom_st(ring, 12))
-    def check(pair, hom):
-        assert pair.forward(pair.inverse(hom)) == hom
-
-    check()
+test_defining_identity = law_test("duality.defining_identity")
+test_roundtrip_class = law_test("duality.roundtrip_class")
+test_roundtrip_hom = law_test("duality.roundtrip_hom")
 
 
 def test_forward_r_independent():
-    rng = random.Random(5)
-    for _ in range(25):
-        pair = rand_pair(rng, RING_Q)
-        omega = rand_klass(rng, RING_Q, 14)
-        base = pair.forward(omega)
-        for r in RING_Q.admissible_indices(omega.exponent):
-            assert pair.forward(omega, r_index=r) == base
-        hom = rand_hom(rng, RING_Q, 14)
-        base = pair.inverse(hom)
-        for r in RING_Q.admissible_indices(hom.level):
-            assert pair.inverse(hom, r_index=r) == base
+    assert_laws(RING_Q, "duality.r_independent", seed=1)
 
 
 def test_pair_additivity():
-    rng = random.Random(9)
-    for _ in range(25):
-        p1 = rand_pair(rng, RING_Q, invertible=False)
-        p2 = rand_pair(rng, RING_Q, invertible=False)
-        omega = rand_klass(rng, RING_Q, 12)
-        assert (p1 + p2).residue(omega) == p1.residue(omega) + p2.residue(omega)
-        assert (p1 + p2).forward(omega) == p1.forward(omega) + p2.forward(omega)
+    assert_laws(RING_Q, "duality.pair_additivity", seed=1)
+
+
+def test_canonical_levels_agree_on_roundtrip():
+    assert_laws(RING_Q, "duality.canonical_levels", "duality.roundtrip_class", seed=1)
 
 
 # ----------------------------------------------------------------------
@@ -203,13 +152,7 @@ def test_pair_additivity():
 
 
 def test_extract_recovers_forward():
-    rng = random.Random(13)
-    for level in (5, 14, 30):
-        for _ in range(10):
-            pair = rand_pair(rng, RING_Q, invertible=False)
-            recovered = extract_pair(RING_Q, pair.forward, level)
-            assert recovered.sigma == pair.sigma.truncate(level)
-            assert recovered.rho == pair.rho.truncate(level)
+    assert_laws(RING_Q, "completion.endo_extraction", seed=1)
 
 
 def test_extract_rejects_bad_blackbox():
@@ -222,16 +165,3 @@ def test_extract_rejects_bad_blackbox():
         extract_pair(RING_Q, lambda omega: 17, 3)
     with pytest.raises(PrecisionError):
         extract_pair(RING_Q, P("pair(1;1)").forward, 0)
-
-
-def test_canonical_levels_agree_on_roundtrip():
-    """Homs coming from unit-rho pairs canonicalize at the same level as the
-    class they encode, so roundtrips land on identical canonical data."""
-    rng = random.Random(17)
-    for _ in range(40):
-        pair = rand_pair(rng, RING_Q)
-        omega = rand_klass(rng, RING_Q, 12)
-        hom = pair.forward(omega)
-        back = pair.inverse(hom)
-        assert back.exponent == omega.exponent
-        assert back.numerator == omega.numerator

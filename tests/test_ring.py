@@ -1,19 +1,17 @@
 """Instance construction, the w-rewriting rule, generators, and units."""
 
 import pytest
-from hypothesis import given
 
 from akizuki import (
     AkizukiRing,
     InstanceError,
     NotInvertibleError,
     PrecisionError,
-    PrimeField,
     RationalField,
     TruncatedSeries,
     parse_series,
 )
-from support import RING_P2, RING_P101, RING_Q, naive_gen, naive_mul, naive_w, nf_st
+from support import RING_P2, RING_P101, RING_Q, law_test, naive_gen, naive_mul, naive_w
 
 QQ = RationalField()
 
@@ -194,43 +192,12 @@ def test_generator_index_beyond_top():
 
 
 # ----------------------------------------------------------------------
-# structural laws
+# structural laws: written once, in akizuki.selftest.SUITES
 
 
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_embedding_is_a_ring_hom(ring):
-    @given(nf_st(ring, 12), nf_st(ring, 12))
-    def check(f, g):
-        assert (f + g).embed() == f.embed() + g.embed()
-        assert (f * g).embed() == f.embed() * g.embed()
-        assert (-f).embed() == -(f.embed())
-
-    check()
-    assert ring.one_nf(12).embed() == TruncatedSeries.one(ring.field, 12)
-
-
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_mul_is_r_independent(ring):
-    @given(nf_st(ring, 14), nf_st(ring, 14))
-    def check(f, g):
-        base = f.mul(g)
-        for r in ring.admissible_indices(14):
-            assert f.mul(g, r_index=r) == base
-
-    check()
-
-
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_inverse_law(ring):
-    @given(nf_st(ring, 10))
-    def check(f):
-        if not f.is_unit():
-            return
-        assert f * f.invert() == ring.one_nf(10)
-        for r in ring.admissible_indices(10):
-            assert f.invert(r_index=r) == f.invert()
-
-    check()
+test_embedding_is_a_ring_hom = law_test("ring.embedding_hom")
+test_mul_is_r_independent = law_test("ring.mul_r_independent")
+test_inverse_law = law_test("ring.inverse_law")
 
 
 def test_nf_level_discipline():

@@ -3,8 +3,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from akizuki import (
     ExactDivisionError,
@@ -16,11 +14,10 @@ from akizuki import (
     TruncatedSeries,
     parse_series,
 )
-from support import series_st, unit_series_st
+from support import law_test
 
 QQ = RationalField()
 F101 = PrimeField(101)
-FIELDS = [QQ, F101]
 
 
 def S(text, field=QQ, precision=8):
@@ -108,81 +105,16 @@ def test_tail_numerator_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# algebraic laws
+# algebraic laws: written once, in akizuki.selftest.SUITES
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_ring_axioms(field):
-    @given(
-        series_st(field, 9), series_st(field, 9), series_st(field, 9)
-    )
-    def check(a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        assert a + TruncatedSeries.zero(field, 9) == a
-        assert a * TruncatedSeries.one(field, 9) == a
-
-    check()
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_inverse_law(field):
-    @given(unit_series_st(field, 9))
-    def check(a):
-        assert a * a.invert() == TruncatedSeries.one(field, 9)
-
-    check()
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_shift_promote_inverse(field):
-    @given(series_st(field, 7), st.integers(1, 5))
-    def check(a, k):
-        assert a.promote(k).shift(-k) == a
-        assert a.promote(k).valuation() == (
-            None if a.valuation() is None else a.valuation() + k
-        )
-
-    check()
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_tail_representative_stability(field):
-    @given(series_st(field, 9), st.integers(1, 8))
-    def check(f, n):
-        assert f.principal_part(n) == f.shift(1).principal_part(n + 1)
-
-    check()
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_tail_vanishing_criterion(field):
-    @given(series_st(field, 9), st.integers(1, 9))
-    def check(f, n):
-        assert f.principal_part(n).is_zero() == f.truncate(n).is_zero()
-
-    check()
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_tail_a_linearity(field):
-    @given(series_st(field, 6), series_st(field, 6), series_st(field, 6), st.integers(1, 6))
-    def check(c, f, g, n):
-        assert c * f.principal_part(n) + g.principal_part(n) == (c * f + g).principal_part(n)
-
-    check()
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_tail_addition_canonical(field):
-    @given(series_st(field, 6), series_st(field, 6), st.integers(1, 6))
-    def check(f, g, n):
-        assert f.principal_part(n) + g.principal_part(n) == (f + g).principal_part(n)
-
-    check()
+test_ring_axioms = law_test("series.ring_axioms")
+test_inverse_law = law_test("series.inverse")
+test_shift_promote_inverse = law_test("series.shift")
+test_tail_representative_stability = law_test("series.tail_stability")
+test_tail_vanishing_criterion = law_test("series.tail_vanishing")
+test_tail_a_linearity = law_test("series.tail_linearity")
+test_tail_addition_canonical = law_test("series.tail_addition")
 
 
 def test_prime_field_reduction():
