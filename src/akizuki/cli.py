@@ -19,13 +19,22 @@ from .expressions import eval_nf, parse_expression
 from .literals import parse_comp, parse_gf, parse_hom, parse_pair
 
 
-def _common_flags(sub):
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ParseError, so they print as one
+    ``parse error: ...`` line with exit code 2 like every other bad input."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _common_flags(sub, prec=False):
     sub.add_argument("--config", help="instance config file")
     sub.add_argument("--field", help="coefficient field: q or fp:<prime>")
-    sub.add_argument(
-        "--prec", type=int, default=None,
-        help="working level for this command (default: the instance precision)",
-    )
+    if prec:
+        sub.add_argument(
+            "--prec", type=int, default=None,
+            help="working level for this command (default: the instance precision)",
+        )
     sub.add_argument(
         "--output", choices=("pretty", "machine"), default="pretty",
         help="output style",
@@ -33,7 +42,7 @@ def _common_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="akizuki",
         description="Exact arithmetic in a truncated model of Akizuki's local domain.",
     )
@@ -41,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nf", help="normal form of a ring expression")
     p.add_argument("expr")
-    _common_flags(p)
+    _common_flags(p, prec=True)
 
     p = sub.add_parser("res", help="residue of a cohomology class under a pair")
     p.add_argument("pair")
@@ -57,13 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hom-eval", help="evaluate a continuous hom on an expression")
     p.add_argument("hom")
     p.add_argument("expr")
-    _common_flags(p)
+    _common_flags(p, prec=True)
 
     p = sub.add_parser("h1", help="cohomology-class queries")
     p.add_argument("query", choices=("eq", "zero", "act"))
     p.add_argument("args", nargs="+",
                    help="eq: gf gf | zero: gf | act: expr gf")
-    _common_flags(p)
+    _common_flags(p, prec=True)
 
     p = sub.add_parser("complete", help="arithmetic in the completed ring")
     p.add_argument("op", choices=("add", "mul", "embed"))
@@ -71,11 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add/mul: comp comp | embed: expr")
     p.add_argument("--unit", default=None,
                    help="for mul: compute via composition relative to this comp(...)")
-    _common_flags(p)
+    _common_flags(p, prec=True)
 
     p = sub.add_parser("extract", help="recover a pair from its duality map")
     p.add_argument("pair")
-    _common_flags(p)
+    _common_flags(p, prec=True)
 
     p = sub.add_parser("selftest", help="run a seeded property suite")
     p.add_argument("suite", choices=selftest.SUITE_NAMES)
@@ -156,6 +165,8 @@ def _cmd_hom_eval(args, ring):
 
 
 def _cmd_h1(args, ring):
+    if args.prec is not None and args.query != "act":
+        raise ParseError(f"--prec applies to h1 act, not h1 {args.query}")
     if args.query == "eq":
         a_text, b_text = _need(args.args, 2, "h1 eq <gf> <gf>")
         answer = parse_gf(a_text, ring) == parse_gf(b_text, ring)
@@ -177,6 +188,8 @@ def _cmd_h1(args, ring):
 def _cmd_complete(args, ring):
     if args.unit is not None and args.op != "mul":
         raise ParseError(f"--unit applies to complete mul, not complete {args.op}")
+    if args.prec is not None and args.op != "embed":
+        raise ParseError(f"--prec applies to complete embed, not complete {args.op}")
     if args.op == "embed":
         (expr_text,) = _need(args.args, 1, "complete embed <expr>")
         level = _level(args, ring)
@@ -228,9 +241,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         ring = _resolve_ring(args)
         return _DISPATCH[args.command](args, ring)
     except ParseError as exc:

@@ -7,9 +7,10 @@ when f lies in t^n C_M.  With f kept in normal form x + y*w at level n, that
 vanishing criterion becomes simply x = y = 0 in the window, so classes have
 an exact equality test.
 
-Classes are stored canonically with the least possible exponent: while both
-numerator components are divisible by t (and the exponent exceeds 1), the
-common factor is cancelled.  The zero class is gf(0; 0; 1).
+A class is the pair of numerators x, y over t^n, a ``series.FractionPair``
+like the continuous homs: that base stores it at its least exponent and
+gives raising, equality across exponents, addition and the zero class
+gf(0; 0; 1).  This module adds the action of the ring.
 """
 
 from __future__ import annotations
@@ -18,25 +19,22 @@ from dataclasses import dataclass
 
 from .errors import PrecisionError
 from .ring import AkizukiRing, NormalForm
-from .series import TruncatedSeries, raise_pair, strip_common_t
+from .series import FractionPair, TruncatedSeries
 
 
 @dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(FractionPair):
     """The class of (x + y*w) / t^n, written gf(x; y; n)."""
 
-    numerator: NormalForm
+    ring: AkizukiRing
+    x: TruncatedSeries
+    y: TruncatedSeries
+    _parts = ("x", "y")
+    exponent = FractionPair.level  # the level n of the denominator t^n
 
     @property
-    def ring(self) -> AkizukiRing:
-        return self.numerator.ring
-
-    @property
-    def exponent(self) -> int:
-        return self.numerator.level
-
-    # ------------------------------------------------------------------
-    # construction
+    def numerator(self) -> NormalForm:
+        return self.ring.nf(self.x, self.y)
 
     @classmethod
     def make(cls, numerator: NormalForm, exponent: int) -> "CohomologyClass":
@@ -48,46 +46,10 @@ class CohomologyClass:
                 f"numerator level {numerator.level} below exponent {exponent}"
             )
         f = numerator.truncate(exponent)
-        return cls(f.ring.nf(*strip_common_t(f.x, f.y)))
-
-    @classmethod
-    def zero(cls, ring: AkizukiRing) -> "CohomologyClass":
-        return cls(ring.zero_nf(1))
-
-    # ------------------------------------------------------------------
-    # queries
-
-    def is_zero(self) -> bool:
-        return self.numerator.x.is_zero() and self.numerator.y.is_zero()
-
-    def raised_numerator(self, n: int) -> NormalForm:
-        """The numerator over the larger denominator t^n (t^{n-e} * f)."""
-        f = self.numerator
-        return f.ring.nf(*raise_pair(f.x, f.y, n, "exponent"))
-
-    def equivalent(self, other: "CohomologyClass") -> bool:
-        """Equality checked by raising to a common denominator (does not
-        rely on both sides being canonical)."""
-        if other.ring is not self.ring:
-            raise ValueError("classes belong to different ring instances")
-        n = max(self.exponent, other.exponent)
-        return self.raised_numerator(n) == other.raised_numerator(n)
+        return cls.least(f.ring, f.x, f.y)
 
     # ------------------------------------------------------------------
     # module structure
-
-    def __add__(self, other):
-        if not isinstance(other, CohomologyClass):
-            return NotImplemented
-        if other.ring is not self.ring:
-            raise ValueError("classes belong to different ring instances")
-        n = max(self.exponent, other.exponent)
-        return CohomologyClass.make(
-            self.raised_numerator(n) + other.raised_numerator(n), n
-        )
-
-    def __neg__(self):
-        return CohomologyClass(-self.numerator)
 
     def act(self, f: NormalForm) -> "CohomologyClass":
         """The class of (f * numerator) / t^n for a ring element f."""
@@ -110,7 +72,7 @@ class CohomologyClass:
     # ------------------------------------------------------------------
 
     def __str__(self) -> str:
-        return f"gf({self.numerator.x};{self.numerator.y};{self.exponent})"
+        return f"gf({self.x};{self.y};{self.exponent})"
 
     def __repr__(self) -> str:
         return f"CohomologyClass({self})"

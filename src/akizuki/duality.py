@@ -38,8 +38,7 @@ from typing import Callable
 from .cohomology import CohomologyClass
 from .errors import AlgebraError, NotInvertibleError, PrecisionError
 from .ring import AkizukiRing, NormalForm
-from .series import LaurentTail, SeriesPair, TruncatedSeries, dual_mul, fused
-from .series import raise_pair, strip_common_t
+from .series import FractionPair, LaurentTail, SeriesPair, TruncatedSeries, dual_mul, fused
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,7 @@ class ResiduePair(SeriesPair):
         """The value of the residue map on a class."""
         n = omega.exponent
         sig, rho = self._window(n, "class exponent")
-        f = omega.numerator
-        return fused((1, f.x, sig), (1, f.y, rho)).principal_part(n)
+        return fused((1, omega.x, sig), (1, omega.y, rho)).principal_part(n)
 
     def forward(self, omega: CohomologyClass, r_index: int | None = None) -> "ContinuousHom":
         """The continuous hom obtained by pairing against omega.
@@ -89,11 +87,10 @@ class ResiduePair(SeriesPair):
         """
         n = omega.exponent
         sig, rho = self._window(n, "class exponent")
-        f = omega.numerator
         u = self.ring.u_terms(n, r_index)
-        a = fused((1, f.x), (1, f.y, u))
+        a = fused((1, omega.x), (1, omega.y, u))
         d = fused((1, rho), (-1, sig, u))
-        alpha = fused((1, a, sig), (1, f.y, d))
+        alpha = fused((1, a, sig), (1, omega.y, d))
         return ContinuousHom.make(self.ring, alpha, fused((1, a, d), (1, alpha, u)))
 
     def inverse(self, hom: "ContinuousHom", r_index: int | None = None) -> CohomologyClass:
@@ -126,14 +123,14 @@ class ResiduePair(SeriesPair):
 
 
 @dataclass(frozen=True)
-class ContinuousHom(SeriesPair):
+class ContinuousHom(FractionPair):
     """A continuous A-linear map C_M -> K/A killing t^n C_M.
 
     Determined by the level n and the numerators alpha, beta of its values
     at 1 and w; the value at x + y*w + t^n z is the class of
-    (x alpha + y beta) / t^n.  Stored at the least level that represents
-    the map: while alpha and beta share a factor of t, both sides of the
-    fraction are cancelled.  The zero hom is hom(1; 0; 0).
+    (x alpha + y beta) / t^n.  A ``series.FractionPair``, like a class:
+    stored at the least level that represents the map, with the zero hom
+    hom(1; 0; 0).
     """
 
     ring: AkizukiRing
@@ -141,19 +138,10 @@ class ContinuousHom(SeriesPair):
     beta: TruncatedSeries
     _parts = ("alpha", "beta")
 
-    @property
-    def level(self) -> int:
-        return self.alpha.precision
-
     @classmethod
     def make(cls, ring: AkizukiRing, alpha: TruncatedSeries, beta: TruncatedSeries) -> "ContinuousHom":
         """Canonicalize to the least level and wrap."""
-        return cls(ring, *strip_common_t(alpha, beta))
-
-    @classmethod
-    def zero(cls, ring: AkizukiRing) -> "ContinuousHom":
-        z = TruncatedSeries.zero(ring.field, 1)
-        return cls(ring, z, z)
+        return cls.least(ring, alpha, beta)
 
     def __call__(self, f: NormalForm) -> LaurentTail:
         """Evaluate on a ring element given at level >= the hom level."""
@@ -165,24 +153,6 @@ class ContinuousHom(SeriesPair):
             )
         g = f.truncate(self.level)
         return fused((1, g.x, self.alpha), (1, g.y, self.beta)).principal_part(self.level)
-
-    def raised_numerators(self, n: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-        return raise_pair(self.alpha, self.beta, n)
-
-    def equivalent(self, other: "ContinuousHom") -> bool:
-        """Equality as maps, checked at a common level."""
-        if other.ring is not self.ring:
-            raise ValueError("homs belong to different ring instances")
-        n = max(self.level, other.level)
-        return self.raised_numerators(n) == other.raised_numerators(n)
-
-    def __add__(self, other):
-        """The sum at the larger level, canonicalized (so is the inherited
-        difference)."""
-        self._compat(other)
-        n = max(self.level, other.level)
-        (a1, b1), (a2, b2) = self.raised_numerators(n), other.raised_numerators(n)
-        return ContinuousHom.make(self.ring, a1 + a2, b1 + b2)
 
     def __str__(self) -> str:
         return f"hom({self.level};{self.alpha};{self.beta})"

@@ -426,6 +426,34 @@ def _canonical_levels(ring, rng):
     return None
 
 
+def _hom_addition(ring, rng):
+    a, b, c = _hom(rng, ring), _hom(rng, ring), _hom(rng, ring)
+    if (a + b) + c != a + (b + c):
+        return "hom addition is not associative"
+    if a + b != b + a:
+        return "hom addition is not commutative"
+    if a + ContinuousHom.zero(ring) != a:
+        return "the zero hom is not an additive identity"
+    if a - a != ContinuousHom.zero(ring):
+        return "h - h is not the zero hom"
+    k = rng.randint(0, min(4, ring.precision - a.level))
+    raised = ContinuousHom(ring, *a.raised(a.level + k))
+    if not (a.equivalent(raised) and raised.equivalent(a)):
+        return f"a hom is not equivalent to its numerators times t^{k}"
+    return None
+
+
+def _forward_additive(ring, rng):
+    pair = _pair(rng, ring, invertible=True)
+    a, b = _klass(rng, ring), _klass(rng, ring)
+    if pair.forward(a + b) != pair.forward(a) + pair.forward(b):
+        return "forward is not additive in the class"
+    h1, h2 = _hom(rng, ring), _hom(rng, ring)
+    if pair.inverse(h1 + h2) != pair.inverse(h1) + pair.inverse(h2):
+        return "inverse is not additive in the hom"
+    return None
+
+
 # ----------------------------------------------------------------------
 # completion properties
 
@@ -538,6 +566,8 @@ SUITES = {
         ("cm_linearity", _cm_linearity),
         ("r_independent", _duality_r_independent),
         ("canonical_levels", _canonical_levels),
+        ("hom_addition", _hom_addition),
+        ("forward_additive", _forward_additive),
     ],
     "completion": [
         ("nilpotent", _nilpotent),

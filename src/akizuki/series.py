@@ -37,6 +37,11 @@ class of a fraction f/t^n modulo integral series.  One type serves all three
 isomorphic quotients K/A, K^/A^ and the top local cohomology of A itself.
 Tails are kept canonical (the deepest pole coefficient is nonzero), so
 equality is plain coefficient comparison.
+
+``SeriesPair`` is the base of every type built on two series over one ring.
+``FractionPair`` refines it for two numerators over t^n modulo t^n, the
+cohomology classes and continuous homs: the least-level cut, raising, the
+equality test across levels and addition are written there once.
 """
 
 from __future__ import annotations
@@ -655,7 +660,7 @@ class SeriesPair:
     _full = False
 
     def __post_init__(self):
-        first, second = (getattr(self, part) for part in self._parts)
+        first, second = self._series()
         ring, name = self.ring, type(self).__name__
         n, m, top = first.precision, second.precision, ring.precision
         if first.field != ring.field or second.field != ring.field:
@@ -666,6 +671,9 @@ class SeriesPair:
                 f"{'equal' if self._full else 'stay within'} the working precision {top}"
             )
 
+    def _series(self) -> tuple:
+        return tuple(getattr(self, part) for part in self._parts)
+
     def _compat(self, other):
         name = type(self).__name__
         if not isinstance(other, type(self)):
@@ -674,33 +682,64 @@ class SeriesPair:
             raise ValueError(f"{name} values belong to different ring instances")
 
     def is_zero(self) -> bool:
-        return all(getattr(self, part).is_zero() for part in self._parts)
+        return all(part.is_zero() for part in self._series())
 
     def __neg__(self):
-        return type(self)(self.ring, *(-getattr(self, part) for part in self._parts))
+        return type(self)(self.ring, *(-part for part in self._series()))
 
     def __add__(self, other):
         self._compat(other)
-        return type(self)(
-            self.ring, *(getattr(self, p) + getattr(other, p) for p in self._parts)
-        )
+        return type(self)(self.ring, *map(operator.add, self._series(), other._series()))
 
     def __sub__(self, other):
         return self + -other
 
 
-def strip_common_t(x, y):
-    """Numerators x, y over t^n divided by their common t^k, the largest
-    with n - k >= 1: the fraction's numerators at its least level."""
-    is_zero, k = x.field.is_zero, 0
-    while k < x.precision - 1 and is_zero(x.coeffs[k]) and is_zero(y.coeffs[k]):
-        k += 1
-    return x.shift(-k), y.shift(-k)
+class FractionPair(SeriesPair):
+    """Base of the types that are two numerators over t^n, modulo t^n: the
+    cohomology classes gf(x; y; n) and the continuous homs hom(n; a; b).
 
+    The level n is the numerators' precision.  ``least`` stores a fraction
+    at its least level, cancelling t from both sides while both numerators
+    share it and n exceeds 1, so equal fractions are equal values.
+    ``equivalent`` and ``+`` work at the larger of two levels.
+    """
 
-def raise_pair(x, y, n, what="level"):
-    """Numerators x, y over t^m rewritten over t^n (n >= m): times t^(n-m)."""
-    k = n - x.precision
-    if k < 0:
-        raise PrecisionError(f"cannot lower {what} {x.precision} to {n}")
-    return x.promote(k), y.promote(k)
+    @property
+    def level(self) -> int:
+        return getattr(self, self._parts[0]).precision
+
+    @classmethod
+    def least(cls, ring, x: TruncatedSeries, y: TruncatedSeries):
+        """The fraction (x, y) / t^n, stored at its least level."""
+        is_zero, k = x.field.is_zero, 0
+        while k < x.precision - 1 and is_zero(x.coeffs[k]) and is_zero(y.coeffs[k]):
+            k += 1
+        return cls(ring, x.shift(-k), y.shift(-k))
+
+    @classmethod
+    def zero(cls, ring):
+        z = TruncatedSeries.zero(ring.field, 1)
+        return cls(ring, z, z)
+
+    def raised(self, n: int) -> tuple:
+        """The two numerators over the larger denominator t^n: t^(n - level)
+        times each."""
+        k = n - self.level
+        if k < 0:
+            raise PrecisionError(f"cannot lower level {self.level} to {n}")
+        return tuple(part.promote(k) for part in self._series())
+
+    def equivalent(self, other) -> bool:
+        """Equality as fractions, checked at a common level (does not rely
+        on both sides being at their least level)."""
+        self._compat(other)
+        n = max(self.level, other.level)
+        return self.raised(n) == other.raised(n)
+
+    def __add__(self, other):
+        """The sum at the larger level, stored at its least level (so is
+        the inherited difference)."""
+        self._compat(other)
+        n = max(self.level, other.level)
+        return self.least(self.ring, *map(operator.add, self.raised(n), other.raised(n)))

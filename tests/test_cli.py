@@ -233,26 +233,65 @@ def test_selftest_count_below_one_is_parse_error(capsys, count):
     assert err.startswith("parse error: ")
 
 
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("parse error: ")
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--count"])
 def test_selftest_flags_belong_to_selftest_only(capsys, flag):
-    with pytest.raises(SystemExit) as exc:
-        main(["nf", "t", flag, "1"])
-    assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "nf", "t", flag, "1")
+    assert_usage_error(code, out, err)
+    assert flag in err
 
 
 def test_selftest_unknown_suite_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["selftest", "bogus"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert_usage_error(*run_cli(capsys, "selftest", "bogus"))
 
 
 def test_no_command_is_usage_error(capsys):
+    assert_usage_error(*run_cli(capsys))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["res", "pair(1;0)", "gf(1;0;1)"],
+        ["duality", "forward", "pair(0;1)", "gf(1;0;1)"],
+        ["duality", "inverse", "pair(0;1)", "hom(1;1;0)"],
+        ["selftest", "series"],
+    ],
+    ids=["res", "duality-forward", "duality-inverse", "selftest"],
+)
+def test_prec_is_not_an_option_of_levelless_commands(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--prec", "5")
+    assert_usage_error(code, out, err)
+    assert err == "parse error: unrecognized arguments: --prec 5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, applies_to",
+    [
+        (["h1", "eq", "gf(1;0;1)", "gf(t;0;2)"], "h1 act"),
+        (["h1", "zero", "gf(1;0;1)"], "h1 act"),
+        (["complete", "add", "comp(1;0)", "comp(1;0)"], "complete embed"),
+        (["complete", "mul", "comp(1;0)", "comp(1;0)"], "complete embed"),
+    ],
+    ids=["h1-eq", "h1-zero", "complete-add", "complete-mul"],
+)
+def test_prec_outside_its_subcommands_is_parse_error(capsys, argv, applies_to):
+    code, out, err = run_cli(capsys, *argv, "--prec", "5")
+    assert_usage_error(code, out, err)
+    assert err == f"parse error: --prec applies to {applies_to}, not {' '.join(argv[:2])}\n"
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
-    capsys.readouterr()
+        main(["nf", "--help"])
+    assert exc.value.code == 0
+    assert "--prec" in capsys.readouterr().out
 
 
 def test_config_file(tmp_path, capsys):

@@ -82,12 +82,10 @@ def test_equivalent_across_exponents():
 
 def test_raised_numerator():
     k = K("gf(1;1;2)")
-    f = k.raised_numerator(4)
-    assert f.level == 4
-    assert f.x == S("t^2", 4)
-    assert f.y == S("t^2", 4)
+    assert k.raised(4) == (S("t^2", 4), S("t^2", 4))
+    assert k.raised(2) == (k.x, k.y)
     with pytest.raises(PrecisionError):
-        k.raised_numerator(1)
+        k.raised(1)
 
 
 # ----------------------------------------------------------------------

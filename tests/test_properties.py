@@ -25,6 +25,7 @@ cohomology.addition
 duality.residue_well_defined duality.residue_linear duality.defining_identity
 duality.roundtrip_class duality.roundtrip_hom duality.pair_additivity
 duality.cm_linearity duality.r_independent duality.canonical_levels
+duality.hom_addition duality.forward_additive
 completion.nilpotent completion.comp_axioms completion.closed_vs_composed
 completion.embed_multiplicative completion.endo_extraction
 completion.unit_composition
