@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add/mul: comp comp | embed: expr")
     p.add_argument("--unit", default=None,
                    help="for mul: compute via composition relative to this comp(...)")
-    _common_flags(p, prec=True)
+    _common_flags(p)
 
     p = sub.add_parser("extract", help="recover a pair from its duality map")
     p.add_argument("pair")
@@ -188,12 +188,9 @@ def _cmd_h1(args, ring):
 def _cmd_complete(args, ring):
     if args.unit is not None and args.op != "mul":
         raise ParseError(f"--unit applies to complete mul, not complete {args.op}")
-    if args.prec is not None and args.op != "embed":
-        raise ParseError(f"--prec applies to complete embed, not complete {args.op}")
     if args.op == "embed":
         (expr_text,) = _need(args.args, 1, "complete embed <expr>")
-        level = _level(args, ring)
-        result = CompletionElement.embed(eval_nf(parse_expression(expr_text), ring, level))
+        result = CompletionElement.embed(eval_nf(parse_expression(expr_text), ring, ring.precision))
     else:
         a_text, b_text = _need(args.args, 2, f"complete {args.op} <comp> <comp>")
         a = parse_comp(a_text, ring)
