@@ -17,9 +17,10 @@ assignment
     class omega  |-->  (f |--> residue of f * omega)
 
 is A-linear in omega, and when rho is a unit it is an isomorphism onto the
-continuous dual.  In the basis 1, w - u of the numerator (u = t s_r, so
-(w - u)^2 = 0) the map is triangular, and its inverse below solves the
-triangle with a single inversion of d = rho - u sigma.
+continuous dual.  In the basis 1, w - u of the numerator (u = ŵ, the
+ring's sparse t(z - a_0), so (w - u)^2 = 0 at every level) the map is
+triangular, and its inverse below solves the triangle with a single
+inversion of d = rho - u sigma.
 
 Composing the forward map of one pair with the inverse of another yields a
 ring structure on pairs: the completed ring
@@ -76,28 +77,28 @@ class ResiduePair(SeriesPair):
         sig, rho = self._window(n, "class exponent")
         return fused((1, omega.x, sig), (1, omega.y, rho)).principal_part(n)
 
-    def forward(self, omega: CohomologyClass, r_index: int | None = None) -> "ContinuousHom":
+    def forward(self, omega: CohomologyClass) -> "ContinuousHom":
         """The continuous hom obtained by pairing against omega.
 
         Its value at 1 is the residue alpha = x sigma + y rho of omega
-        itself; its value at w uses the rewriting rule once.  With u = t s_r,
+        itself; its value at w uses (w - u)^2 = 0 once.  With u = ŵ,
         a = x + u y and d = rho - u sigma, these are
 
             alpha = a sigma + y d,    beta = a d + u alpha.
         """
         n = omega.exponent
         sig, rho = self._window(n, "class exponent")
-        u = self.ring.u_terms(n, r_index)
+        u = self.ring.w_terms
         a = fused((1, omega.x), (1, omega.y, u))
         d = fused((1, rho), (-1, sig, u))
         alpha = fused((1, a, sig), (1, omega.y, d))
         return ContinuousHom.make(self.ring, alpha, fused((1, a, d), (1, alpha, u)))
 
-    def inverse(self, hom: "ContinuousHom", r_index: int | None = None) -> CohomologyClass:
+    def inverse(self, hom: "ContinuousHom") -> CohomologyClass:
         """The class sent to a given continuous hom (requires rho a unit).
 
         The forward map is triangular (see ``forward``), so with
-        u = t s_r and d = rho - u sigma, a unit exactly when rho is,
+        u = ŵ and d = rho - u sigma, a unit exactly when rho is,
 
             a = (beta - u alpha) / d,  y = (alpha - a sigma) / d,  x = a - u y.
         """
@@ -107,7 +108,7 @@ class ResiduePair(SeriesPair):
             )
         n = hom.level
         sig, rho = self._window(n, "hom level")
-        u = self.ring.u_terms(n, r_index)
+        u = self.ring.w_terms
         e = fused((1, rho), (-1, sig, u)).invert()
         a = fused((1, hom.beta), (-1, hom.alpha, u)) * e
         y = fused((1, hom.alpha), (-1, a, sig)) * e

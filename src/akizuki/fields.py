@@ -107,14 +107,8 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def neg(self, a):
         return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def inv(self, a):
         if a == 0:
@@ -194,14 +188,8 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def neg(self, a):
         return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -227,17 +215,17 @@ class PrimeField:
 
     def parse(self, text: str):
         text = text.strip()
-        m = re.match(r"(-?\d+)(?:/(-?\d+))?$", text)
-        if not m:
+        if not _RATIONAL_RE.match(text):
             raise ParseError(f"bad coefficient {text!r} for {self}")
-        value = self.from_int(parse_int(m.group(1)))
-        if m.group(2) is not None:
-            den = self.from_int(parse_int(m.group(2)))
+        num, _, den = text.partition("/")
+        value = self.from_int(parse_int(num))
+        if den:
+            den = self.from_int(parse_int(den))
             if self.is_zero(den):
                 raise ParseError(
                     f"denominator of {text!r} is zero mod {self.p}"
                 )
-            value = self.mul(value, self.inv(den))
+            value = value * self.inv(den) % self.p
         return value
 
     def fmt(self, a) -> str:

@@ -15,17 +15,22 @@ of z, so g_i is the square of the tail of z past a_i divided by t^{n_i}.
 The local ring C_M is a one-dimensional Noetherian domain whose completion
 has nilpotents.
 
-This module realizes C_M at a working precision t^N.  Writing
-s_r = a_1 t^{n_1} + ... + a_r t^{n_r} for the partial sums, the identity
-w - t s_r = t^{n_r + 1} (z_r - a_r) squares to the rewriting rule
+This module realizes C_M at a working precision t^N.  In the completed DVR,
+w is the series ŵ = t (z - a_0), and at each level m <= N the difference
+squares to zero:
 
-    w^2 = 2 t s_r w - t^2 s_r^2   (mod t^{2 n_r + 2} C_M),
+    (w - ŵ)^2 = 0   (mod t^m C_M).
 
-since t^{2 n_r + 2} g_r lies in t^{2 n_r + 2} C_M.  Consequently every ring
-element is congruent mod t^m C_M to a normal form x + y*w with x, y series
-over A, and the pair (x mod t^m, y mod t^m) is a complete invariant of the
-class.  All arithmetic below works on such pairs; the discarded remainder in
-t^m C_M is never materialized.
+Indeed, write s_r = a_1 t^{n_1} + ... + a_r t^{n_r} for the partial sums and
+take any r with 2 n_r + 2 >= m (r = R, the top index, always qualifies).
+Then w - t s_r = t^{n_r + 1} (z_r - a_r) squares to t^{2 n_r + 2} g_r, which
+lies in t^m C_M; and t s_r = ŵ mod t^m, because every later term of ŵ has
+exponent n_j + 1 >= n_{r+1} + 1 >= 2 n_r + 3 > m.  So C_M / t^m C_M is
+A/t^m [w] / (w - ŵ)^2, one relation with the same sparse coefficient at
+every level.  Consequently every ring element is congruent mod t^m C_M to a
+normal form x + y*w with x, y series over A, and the pair (x mod t^m,
+y mod t^m) is a complete invariant of the class.  All arithmetic below works
+on such pairs; the discarded remainder in t^m C_M is never materialized.
 """
 
 from __future__ import annotations
@@ -43,12 +48,6 @@ MINIMAL = "minimal"
 MAX_PRECISION = 1 << 16
 
 
-def _least_index(exponents, need: int) -> int | None:
-    """The least r with 2 n_r + 2 >= need (the cheapest rewriting rule valid
-    at level ``need``), or None."""
-    return next((r for r, n in enumerate(exponents) if 2 * n + 2 >= need), None)
-
-
 class AkizukiRing:
     """The model ring at a fixed working precision.
 
@@ -64,7 +63,7 @@ class AkizukiRing:
         n_r = 2 n_{r-1} + 2) or an explicit increasing list starting at 0
         that satisfies the same lower bound.  Exponents are materialized up
         to the least index R with 2 n_R + 2 >= N, which guarantees that the
-        rewriting rule covers every level up to N.
+        relation (w - ŵ)^2 = 0 holds at every level up to N.
     units:
         The units a_0 .. a_R (ints accepted); defaults to all ones.
 
@@ -96,7 +95,7 @@ class AkizukiRing:
                         f"exponent {cur} violates the growth condition "
                         f"n_r >= 2*{prev} + 2"
                     )
-            top = _least_index(ns, precision)
+            top = next((r for r, n in enumerate(ns) if 2 * n + 2 >= precision), None)
             if top is None:
                 raise InstanceError(
                     f"exponent list exhausted before reaching precision {precision}"
@@ -122,12 +121,12 @@ class AkizukiRing:
             raise InstanceError("every coefficient a_i must be a unit")
         self.units = tuple(us)
 
-        # Derived data: z and w = t(z - a_0), and -w as sparse terms.
+        # Derived data: z and w = t(z - a_0), and w and -w as sparse terms.
         self.z = self._terms(0, count, precision)
         self.w = self._terms(1, count, precision).shift(1)
-        self.neg_w = Terms(
-            (n_j + 1, field.neg(a_j)) for n_j, a_j in zip(ns[1:], us[1:]) if n_j + 1 < precision
-        )
+        w_pairs = [(n_j + 1, a_j) for n_j, a_j in zip(ns[1:], us[1:]) if n_j + 1 < precision]
+        self.w_terms = Terms(w_pairs)
+        self.neg_w = Terms((e, field.neg(a)) for e, a in w_pairs)
 
     # ------------------------------------------------------------------
     # instance data
@@ -145,56 +144,15 @@ class AkizukiRing:
         """The largest materialized tail index R."""
         return len(self.exponents) - 1
 
-    def partial_sum(self, r: int) -> TruncatedSeries:
-        """s_r = a_1 t^{n_1} + ... + a_r t^{n_r} at full precision."""
-        return self.partial_sum_at(r, self.precision)
-
-    def partial_sum_at(self, r: int, precision: int) -> TruncatedSeries:
-        """s_r rebuilt in a window of the given width (terms past it drop).
-
-        Needed for generator expansions whose intermediate numerators live
-        in windows wider than N; faithful because the dropped terms cannot
-        reach the requested output window.
-        """
-        if not 0 <= r <= self.top_index:
-            raise IndexError(f"partial sum index {r} outside 0..{self.top_index}")
-        return self._terms(1, r + 1, precision)
-
     def upper_sum_at(self, i: int, precision: int) -> TruncatedSeries:
         """z - a_0 - s_i rebuilt in a window of the given width."""
         return self._terms(i + 1, len(self.exponents), precision)
 
-    def reduction_index(self, m: int) -> int:
-        """The least r with 2 n_r + 2 >= m, i.e. the cheapest valid rewriting
-        rule for products at level m.  Always exists for m <= N."""
-        if not 1 <= m <= self.precision:
-            raise ValueError(f"level {m} outside 1..{self.precision}")
-        return _least_index(self.exponents, m)
-
-    def admissible_indices(self, m: int) -> range:
-        """All tail indices whose rewriting rule is valid at level m."""
-        return range(self.reduction_index(m), self.top_index + 1)
-
-    def t_partial_sum(self, m: int, r_index: int | None = None) -> TruncatedSeries:
-        """t * s_r mod t^m for an admissible r (default: the least one).
-
-        Every admissible choice yields the same window, which is what makes
-        normal-form products independent of r.
-        """
-        return self.partial_sum_at(self._admissible(m, r_index), m).shift(1)
-
-    def u_terms(self, m: int, r_index: int | None = None) -> Terms:
-        """u = t * s_r mod t^m (see ``t_partial_sum``) as sparse terms."""
-        r = self._admissible(m, r_index)
-        pairs = zip(self.exponents[1 : r + 1], self.units[1 : r + 1])
-        return Terms((n_j + 1, a_j) for n_j, a_j in pairs if n_j + 1 < m)
-
-    def _admissible(self, m: int, r_index: int | None) -> int:
-        least = self.reduction_index(m)
-        r = least if r_index is None else r_index
-        if not least <= r <= self.top_index:
-            raise ValueError(f"reduction index {r} not admissible at level {m}")
-        return r
+    def t_partial_sum(self, m: int) -> TruncatedSeries:
+        """ŵ = t (z - a_0) mod t^m: the coefficient of the square-zero
+        relation (w - ŵ)^2 = 0 at level m, equal to t s_r mod t^m for every
+        r with 2 n_r + 2 >= m."""
+        return self.w.truncate(m)
 
     # ------------------------------------------------------------------
     # element construction
@@ -220,27 +178,24 @@ class AkizukiRing:
             TruncatedSeries.zero(field, m), TruncatedSeries.one(field, m)
         )
 
-    def generator_nf(self, i: int, m: int, r_index: int | None = None) -> "NormalForm":
+    def generator_nf(self, i: int, m: int) -> "NormalForm":
         """The normal form of the generator g_i = (z_i - a_i)^2 at level m.
 
         From w - t s_i = t^{n_i + 1} (z_i - a_i) one gets
-        t^{2 n_i + 2} g_i = (w - t s_i)^2, and rewriting w^2 yields
+        t^{2 n_i + 2} g_i = (w - t s_i)^2, and the relation (w - t s_R)^2 = 0
+        at level m + 2 n_i + 2 yields
 
-            g_i = [ t^2 (s_i^2 - s_r^2)  +  2 t (s_r - s_i) w ] / t^{2 n_i + 2},
+            g_i = [ t^2 (s_i^2 - s_R^2)  +  2 t (s_R - s_i) w ] / t^{2 n_i + 2},
 
-        where both divisions are exact.  The rewriting rule must hold at
-        level m + 2 n_i + 2, so m is capped at 2 n_R + 2 - (2 n_i + 2).
+        where both divisions are exact.  The relation must hold at level
+        m + 2 n_i + 2, so m is capped at 2 n_R + 2 - (2 n_i + 2).
         """
         drop = self._generator_drop(i, m)
         need = m + drop
-        least = _least_index(self.exponents, need)
-        r = least if r_index is None else r_index
-        if not least <= r <= self.top_index:
-            raise ValueError(f"reduction index {r} not admissible for g{i} at level {m}")
-        s_i = self.partial_sum_at(i, need)
-        s_r = self.partial_sum_at(r, need)
-        x = (s_i * s_i - s_r * s_r).shift(2).shift(-drop)
-        y = (s_r - s_i).shift(1).scale(2).shift(-drop)
+        s_i = self._terms(1, i + 1, need)
+        s_top = self._terms(1, len(self.exponents), need)
+        x = (s_i * s_i - s_top * s_top).shift(2).shift(-drop)
+        y = (s_top - s_i).shift(1).scale(2).shift(-drop)
         return self.nf(x, y)
 
     def generator_series(self, i: int, m: int) -> TruncatedSeries:
@@ -309,28 +264,26 @@ class NormalForm(SeriesPair):
     def truncate(self, m: int) -> "NormalForm":
         return NormalForm(self.ring, self.x.truncate(m), self.y.truncate(m))
 
-    def mul(self, other, r_index: int | None = None) -> "NormalForm":
-        """Product, rewriting w^2 = 2 t s_r w - t^2 s_r^2 at this level."""
+    def mul(self, other) -> "NormalForm":
+        """Product, with (w - ŵ)^2 = 0 at this level."""
         self._compat(other)
-        u = self.ring.u_terms(self.level, r_index)
-        return NormalForm(self.ring, *dual_mul(self.x, self.y, other.x, other.y, u))
+        return NormalForm(self.ring, *dual_mul(self.x, self.y, other.x, other.y, self.ring.w_terms))
 
     def __mul__(self, other):
         return self.mul(other)
 
-    def invert(self, r_index: int | None = None) -> "NormalForm":
+    def invert(self) -> "NormalForm":
         """The inverse of a unit x + y*w.
 
-        Writing u = t s_r, the level-m ring is A/t^m [w] with (w - u)^2 = 0,
-        so x + y w = a + y (w - u) with a = x + y u, whose inverse is
-        i - y i^2 (w - u) for i = a^-1: one series inversion.
+        The level-m ring is A/t^m [w] with (w - ŵ)^2 = 0, so
+        x + y w = a + y (w - ŵ) with a = x + y ŵ, whose inverse is
+        i - y i^2 (w - ŵ) for i = a^-1: one series inversion.
         """
         if not self.is_unit():
             raise NotInvertibleError(
                 "not a unit of the local ring: the A-part has no constant term"
             )
-        u = self.ring.u_terms(self.level, r_index)
-        return NormalForm(self.ring, *dual_invert(self.x, self.y, u))
+        return NormalForm(self.ring, *dual_invert(self.x, self.y, self.ring.w_terms))
 
     def embed(self) -> TruncatedSeries:
         """The image x + y * t(z - a_0) in the completed DVR, mod t^level

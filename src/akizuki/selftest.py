@@ -212,25 +212,12 @@ def _embedding_hom(ring, rng):
     return None
 
 
-def _mul_r_independent(ring, rng):
-    m = rng.randint(1, ring.precision)
-    f, g = _nf(rng, ring, m), _nf(rng, ring, m)
-    base = f.mul(g)
-    for r in ring.admissible_indices(m):
-        if f.mul(g, r_index=r) != base:
-            return f"product at level {m} depends on the reduction index {r}"
-    return None
-
-
 def _inverse_law(ring, rng):
     m = rng.randint(1, ring.precision)
     f = _nf(rng, ring, m, unit=True)
     inverse = f.invert()
     if f * inverse != ring.one_nf(m):
         return f"f * f^-1 != 1 at level {m}"
-    for r in ring.admissible_indices(m):
-        if f.invert(r_index=r) != inverse:
-            return f"inverse at level {m} depends on the reduction index {r}"
     return None
 
 
@@ -401,19 +388,6 @@ def _cm_linearity(ring, rng):
     return None
 
 
-def _duality_r_independent(ring, rng):
-    pair = _pair(rng, ring, invertible=True)
-    omega, hom = _klass(rng, ring), _hom(rng, ring)
-    forward, inverse = pair.forward(omega), pair.inverse(hom)
-    for r in ring.admissible_indices(omega.exponent):
-        if pair.forward(omega, r_index=r) != forward:
-            return f"forward at level {omega.exponent} depends on the reduction index {r}"
-    for r in ring.admissible_indices(hom.level):
-        if pair.inverse(hom, r_index=r) != inverse:
-            return f"inverse at level {hom.level} depends on the reduction index {r}"
-    return None
-
-
 def _canonical_levels(ring, rng):
     pair = _pair(rng, ring, invertible=True)
     omega, hom = _klass(rng, ring), _hom(rng, ring)
@@ -543,7 +517,6 @@ SUITES = {
     ],
     "ring": [
         ("embedding_hom", _embedding_hom),
-        ("mul_r_independent", _mul_r_independent),
         ("inverse_law", _inverse_law),
         ("generator_consistency", _generator_consistency),
         ("exponent_growth", _exponent_growth),
@@ -564,7 +537,6 @@ SUITES = {
         ("roundtrip_hom", _roundtrip_hom),
         ("pair_additivity", _pair_additivity),
         ("cm_linearity", _cm_linearity),
-        ("r_independent", _duality_r_independent),
         ("canonical_levels", _canonical_levels),
         ("hom_addition", _hom_addition),
         ("forward_additive", _forward_additive),

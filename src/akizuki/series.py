@@ -13,7 +13,7 @@ of a whole sum of terms +-a b and +-a: each dense window becomes integers
 over one common denominator (1 over F_p), packed once per call into the
 slots of one Python int, so one bignum product (Karatsuba in CPython)
 yields every coefficient of a product, a sparse factor (a ``Terms`` list,
-such as u = t s_r and -w of the ring) adds a few shifted small multiples of
+such as the ring's w and -w) adds a few shifted small multiples of
 a packed operand instead, and the result takes one unpack and one
 reduction.  Slots of up to 8 bytes move through ``array`` lanes by strided
 byte slices, wider ones by one ``int.to_bytes`` and ``int.from_bytes`` per

@@ -34,30 +34,37 @@ RING_P2 = AkizukiRing(PrimeField(2), 31)
 # naive list-based series arithmetic (the oracle side of dual-route checks)
 
 
+def field_value(field, value):
+    """A plain int or Fraction as a canonical value of ``field``: reduced
+    mod p over F_p, a Fraction over Q.  The oracles compute on plain
+    numbers and read nothing else of the field but its characteristic."""
+    p = field.characteristic
+    return value % p if p else Fraction(value)
+
+
 def naive_mul(a, b, field, n):
     """Schoolbook product mod t^n: plain sums of the pairwise products of
     the nonzero coefficients, each sum made canonical once at the end."""
     acc = [0] * n
-    right = [(j, y) for j, y in enumerate(b[:n]) if not field.is_zero(y)]
+    right = [(j, y) for j, y in enumerate(b[:n]) if y]
     for i, x in enumerate(a[:n]):
-        if field.is_zero(x):
+        if not x:
             continue
         for j, y in right:
             if i + j >= n:
                 break
             acc[i + j] += x * y
-    zero = field.zero()
-    return [field.add(zero, v) for v in acc]
+    return [field_value(field, v) for v in acc]
 
 
 def naive_inv(a, field, n):
     """The inverse mod t^n by the recurrence sum_{i<=k} a_i out_{k-i} = 0."""
-    lead = field.inv(a[0])
-    zero = field.zero()
+    p = field.characteristic
+    lead = pow(a[0], -1, p) if p else 1 / Fraction(a[0])
     out = [lead]
     for k in range(1, n):
         acc = sum(a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1))
-        out.append(field.neg(field.mul(field.add(zero, acc), lead)))
+        out.append(field_value(field, -acc * lead))
     return out
 
 
@@ -86,21 +93,19 @@ def naive_gen(ring, i, m):
 def naive_eval(node, ring, m):
     """Evaluate an expression tree over plain coefficient lists."""
     field = ring.field
+    zeros = [field_value(field, 0)] * (m - 1)
     if isinstance(node, Num):
-        return [field.from_int(node.value)] + [field.zero()] * (m - 1)
+        return [field_value(field, node.value)] + zeros
     if isinstance(node, Atom):
         if node.name == "t":
-            out = [field.zero()] * m
-            if m > 1:
-                out[1] = field.one()
-            return out
+            return ([field_value(field, 0), field_value(field, 1)] + zeros)[:m]
         return naive_w(ring, m)
     if isinstance(node, Gen):
         return naive_gen(ring, node.index, m)
     if isinstance(node, Neg):
-        return [field.neg(c) for c in naive_eval(node.arg, ring, m)]
+        return [field_value(field, -c) for c in naive_eval(node.arg, ring, m)]
     if isinstance(node, Pow):
-        out = [field.one()] + [field.zero()] * (m - 1)
+        out = [field_value(field, 1)] + zeros
         base = naive_eval(node.base, ring, m)
         for _ in range(node.exponent):
             out = naive_mul(out, base, field, m)
@@ -108,9 +113,9 @@ def naive_eval(node, ring, m):
     left = naive_eval(node.left, ring, m)
     right = naive_eval(node.right, ring, m)
     if node.op == "+":
-        return [field.add(x, y) for x, y in zip(left, right)]
+        return [field_value(field, x + y) for x, y in zip(left, right)]
     if node.op == "-":
-        return [field.sub(x, y) for x, y in zip(left, right)]
+        return [field_value(field, x - y) for x, y in zip(left, right)]
     if node.op == "*":
         return naive_mul(left, right, field, m)
     return naive_mul(left, naive_inv(right, field, m), field, m)
@@ -124,11 +129,15 @@ def naive_eval(node, ring, m):
 
 def _lin(field, *terms):
     """sum of c * a over (c, a) pairs of an int scalar and a list."""
-    out = [field.zero()] * len(terms[0][1])
-    for c, a in terms:
-        k = field.from_int(c)
-        out = [field.add(o, field.mul(k, v)) for o, v in zip(out, a)]
-    return out
+    scalars = [c for c, _ in terms]
+    columns = zip(*(a for _, a in terms))
+    return [field_value(field, sum(c * v for c, v in zip(scalars, col))) for col in columns]
+
+
+def admissible(ring, m):
+    """The tail indices r with 2 n_r + 2 >= m, read off ``ring.exponents``:
+    those for which (w - t s_r)^2 = 0 holds at level m."""
+    return [r for r, n_r in enumerate(ring.exponents) if 2 * n_r + 2 >= m]
 
 
 def naive_u(ring, m, r):
@@ -138,6 +147,22 @@ def naive_u(ring, m, r):
         if n_j + 1 < m:
             out[n_j + 1] = a_j
     return out
+
+
+def naive_gen_nf(ring, i, m):
+    """g_i as the normal form (x, y) at level m, on plain lists.  With
+    u = t s_R and d = u - t s_i, (w - u)^2 = 0 at level m + 2 n_i + 2 gives
+    (w - t s_i)^2 = (w - u + d)^2 = d^2 - 2 d u + 2 d w; both parts are
+    divisible by t^{2 n_i + 2}."""
+    field = ring.field
+    drop = 2 * ring.exponents[i] + 2
+    need = m + drop
+    u = naive_w(ring, need)
+    d = _lin(field, (1, u), (-1, naive_u(ring, need, i)))
+    x = _lin(field, (1, naive_mul(d, d, field, need)), (-2, naive_mul(d, u, field, need)))
+    y = _lin(field, (2, d))
+    assert not any(x[:drop]) and not any(y[:drop])
+    return x[drop:], y[drop:]
 
 
 def naive_nf_mul(x1, y1, x2, y2, u, field):

@@ -15,6 +15,7 @@ from akizuki import (
     default_ring,
     parse_field_spec,
 )
+from akizuki.cli import main
 from akizuki.fields import PRIME_LIMIT, is_prime
 from akizuki.ring import MAX_PRECISION
 
@@ -122,3 +123,16 @@ def test_precision_cap():
     assert RingSettings.from_text(f"precision = {MAX_PRECISION}").precision == MAX_PRECISION
     with pytest.raises(InstanceError, match="outside 2.."):
         AkizukiRing(RationalField(), MAX_PRECISION + 1)
+
+
+@pytest.mark.parametrize("field", ["q", "fp:5"])
+def test_negative_denominator_unit_is_parse_error_over_both_fields(field, tmp_path, capsys):
+    """Both fields read a coefficient by one grammar, with an unsigned
+    denominator."""
+    conf = tmp_path / "neg.conf"
+    conf.write_text(f"field = {field}\nunits = 1/-2,1,1,1,1\n")
+    assert main(["nf", "w", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: bad ") and "'1/-2'" in captured.err
+    assert len(captured.err.splitlines()) == 1

@@ -5,8 +5,10 @@ completion product all run through one dual-number kernel.  Each is checked
 here against the closed pair formula it replaced, written on plain lists in
 ``support`` (``naive_nf_mul``, ``naive_nf_inv``, ``naive_forward``,
 ``naive_duality_inverse``, ``naive_comp_mul``), at precisions beyond the
-31 of the other suites and for every admissible reduction index.  The
-component check shared by the four two-series types is tested last.
+31 of the other suites.  The closed formulas take u = t s_r for every
+admissible r (``support.admissible``), while the package uses one
+coefficient w at every level.  The component check shared by the four
+two-series types is tested last.
 """
 
 import random
@@ -26,6 +28,7 @@ from akizuki import (
 )
 from support import (
     RING_Q,
+    admissible,
     naive_comp_mul,
     naive_duality_inverse,
     naive_forward,
@@ -67,11 +70,10 @@ def test_nf_mul_and_invert_match_closed_formulas(name):
         for m in levels(ring, rng):
             f = ring.nf(rand_series(rng, field, m, unit=True), rand_series(rng, field, m))
             g = ring.nf(rand_series(rng, field, m), rand_series(rng, field, m))
-            for r in ring.admissible_indices(m):
+            got, inv = f * g, f.invert()
+            for r in admissible(ring, m):
                 u = naive_u(ring, m, r)
-                got = f.mul(g, r_index=r)
                 assert lists(got.x, got.y) == list(naive_nf_mul(*lists(f.x, f.y, g.x, g.y), u, field))
-                inv = f.invert(r_index=r)
                 assert lists(inv.x, inv.y) == list(naive_nf_inv(*lists(f.x, f.y), u, field))
 
 
@@ -95,12 +97,11 @@ def test_duality_matches_closed_formulas(name):
             )
             # results come back canonical, with common factors of t dropped;
             # raised back over t^n they are the oracles' representatives
-            for r in ring.admissible_indices(n):
+            fwd, back = pair.forward(omega), pair.inverse(hom).numerator
+            for r in admissible(ring, n):
                 u = naive_u(ring, n, r)
-                fwd = pair.forward(omega, r_index=r)
                 want = naive_forward(x, y, sig, rho, u, field)
                 assert [raised(field, c, n) for c in lists(fwd.alpha, fwd.beta)] == list(want)
-                back = pair.inverse(hom, r_index=r).numerator
                 want = naive_duality_inverse(alpha, beta, sig, rho, u, field)
                 assert [raised(field, c, n) for c in lists(back.x, back.y)] == list(want)
 

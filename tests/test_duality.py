@@ -1,5 +1,7 @@
 """Residues, the duality map and its inverse, and pair extraction."""
 
+import random
+
 import pytest
 
 from akizuki import (
@@ -17,7 +19,17 @@ from akizuki import (
     parse_pair,
     parse_series,
 )
-from support import RING_Q, assert_laws, law_test
+from support import (
+    RING_Q,
+    admissible,
+    assert_laws,
+    law_test,
+    naive_duality_inverse,
+    naive_forward,
+    naive_u,
+    rand_pair,
+    rand_series,
+)
 
 QQ = RationalField()
 
@@ -136,7 +148,22 @@ test_roundtrip_hom = law_test("duality.roundtrip_hom")
 
 
 def test_forward_r_independent():
-    assert_laws(RING_Q, "duality.r_independent", seed=1)
+    """At every level, forward and inverse are the closed formulas with
+    u = t s_r, for every admissible r."""
+    rng = random.Random("r-independent")
+    pair = rand_pair(rng, RING_Q)
+    for n in range(1, RING_Q.precision + 1):
+        x, y, alpha, beta = (rand_series(rng, QQ, n) for _ in range(4))
+        fwd = pair.forward(CohomologyClass.make(RING_Q.nf(x, y), n))
+        back = pair.inverse(ContinuousHom.make(RING_Q, alpha, beta))
+        got = [list(s.coeffs) for s in fwd.raised(n) + back.raised(n)]
+        sig, rho = pair.sigma.truncate(n), pair.rho.truncate(n)
+        x, y, alpha, beta, sig, rho = (list(s.coeffs) for s in (x, y, alpha, beta, sig, rho))
+        for r in admissible(RING_Q, n):
+            u = naive_u(RING_Q, n, r)
+            want = naive_forward(x, y, sig, rho, u, QQ)
+            want += naive_duality_inverse(alpha, beta, sig, rho, u, QQ)
+            assert got == list(want), (n, r)
 
 
 def test_pair_additivity():

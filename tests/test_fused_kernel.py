@@ -5,12 +5,12 @@
 result.  The dual-number helpers, the duality maps, hom evaluation and the
 two completion products make one kernel call per series.  Each is checked
 here against the closed formulas on plain lists in ``support``: at N = 511
-over fp:2, fp:101 and fp:2147483647 and at N = 127 over q, at every
-admissible reduction index, at levels 1 to 3 (where u = t s_r has no term
-inside the window), with zero operands, over a prime above 2^32 (slots of
-more than 8 bytes) and on the byte boundary where one product fits a slot
-but a sum of two needs one more byte.  A spy on the packed integers shows
-that sparse terms make no bignum product.
+over fp:2, fp:101 and fp:2147483647 and at N = 127 over q, with u = t s_r
+for every admissible r in the closed formulas, at levels 1 to 3 (where u
+has no term inside the window), with zero operands, over a prime above
+2^32 (slots of more than 8 bytes) and on the byte boundary where one
+product fits a slot but a sum of two needs one more byte.  A spy on the
+packed integers shows that sparse terms make no bignum product.
 """
 
 import random
@@ -31,6 +31,8 @@ from akizuki import (
 )
 from akizuki.series import Terms, _window_mul, dual_invert, dual_mul
 from support import (
+    admissible,
+    field_value,
     naive_comp_mul,
     naive_duality_inverse,
     naive_forward,
@@ -85,10 +87,10 @@ def tail_list(tail, n):
 
 def lin(field, *terms):
     """sum of sign * a over (sign, a) pairs of plain lists."""
-    out = [field.zero()] * len(terms[0][1])
+    out = [0] * len(terms[0][1])
     for sign, a in terms:
-        out = [field.add(o, v if sign > 0 else field.neg(v)) for o, v in zip(out, a)]
-    return out
+        out = [o + sign * v for o, v in zip(out, a)]
+    return [field_value(field, v) for v in out]
 
 
 # ----------------------------------------------------------------------
@@ -97,14 +99,14 @@ def lin(field, *terms):
 
 def check_nf(ring, f, g, r):
     field, m = ring.field, f.level
-    u = naive_u(ring, m, ring.reduction_index(m) if r is None else r)
-    got = f.mul(g, r_index=r)
+    u = naive_u(ring, m, ring.top_index if r is None else r)
+    got = f * g
     assert lists(got.x, got.y) == list(naive_nf_mul(*lists(f.x, f.y, g.x, g.y), u, field))
-    assert lists(*dual_mul(f.x, f.y, g.x, g.y, ring.u_terms(m, r))) == lists(got.x, got.y)
+    assert lists(*dual_mul(f.x, f.y, g.x, g.y, ring.w_terms)) == lists(got.x, got.y)
     if f.is_unit():
-        inv = f.invert(r_index=r)
+        inv = f.invert()
         assert lists(inv.x, inv.y) == list(naive_nf_inv(*lists(f.x, f.y), u, field))
-        assert lists(*dual_invert(f.x, f.y, ring.u_terms(m, r))) == lists(inv.x, inv.y)
+        assert lists(*dual_invert(f.x, f.y, ring.w_terms)) == lists(inv.x, inv.y)
 
 
 def check_duality(ring, pair, omega_nf, hom, r):
@@ -113,15 +115,15 @@ def check_duality(ring, pair, omega_nf, hom, r):
     sig, rho = lists(pair.sigma.truncate(n), pair.rho.truncate(n))
     x, y = lists(omega_nf.x, omega_nf.y)
     alpha, beta = raised(field, hom.alpha.coeffs, n), raised(field, hom.beta.coeffs, n)
-    u = naive_u(ring, n, ring.reduction_index(n) if r is None else r)
+    u = naive_u(ring, n, ring.top_index if r is None else r)
     want = lin(field, (1, naive_mul(x, sig, field, n)), (1, naive_mul(y, rho, field, n)))
     assert tail_list(pair.residue(omega), n) == want
-    fwd = pair.forward(omega, r_index=r)
+    fwd = pair.forward(omega)
     assert [raised(field, c, n) for c in lists(fwd.alpha, fwd.beta)] == list(
         naive_forward(x, y, sig, rho, u, field)
     )
     if pair.is_invertible() and hom.level == n:
-        back = pair.inverse(hom, r_index=r).numerator
+        back = pair.inverse(hom).numerator
         assert [raised(field, c, n) for c in lists(back.x, back.y)] == list(
             naive_duality_inverse(alpha, beta, sig, rho, u, field)
         )
@@ -172,13 +174,13 @@ def test_every_admissible_reduction_index(name):
     field = ring.field
     rng = random.Random(f"indices:{name}")
     m = 20  # admits r = 3 .. R
-    assert len(ring.admissible_indices(m)) >= 3
+    assert len(admissible(ring, m)) >= 3
     f = ring.nf(series(rng, field, m, unit=True), series(rng, field, m))
     g = ring.nf(series(rng, field, m), series(rng, field, m))
     pair = ResiduePair(ring, series(rng, field, ring.precision), series(rng, field, ring.precision, unit=True))
     omega_nf = ring.nf(series(rng, field, m), series(rng, field, m))
     hom = ContinuousHom(ring, series(rng, field, m), series(rng, field, m, unit=True))
-    for r in ring.admissible_indices(m):
+    for r in admissible(ring, m):
         check_nf(ring, f, g, r)
         check_duality(ring, pair, omega_nf, hom, r)
 
@@ -190,11 +192,11 @@ def test_levels_where_u_has_no_term_in_the_window(name):
     rng = random.Random(f"low:{name}")
     pair = ResiduePair(ring, series(rng, field, ring.precision), series(rng, field, ring.precision, unit=True))
     for m in (1, 2, 3):
-        assert ring.u_terms(m) == () and naive_u(ring, m, ring.reduction_index(m)) == [field.zero()] * m
+        assert naive_w(ring, m) == [field.zero()] * m
         f = ring.nf(series(rng, field, m, unit=True), series(rng, field, m))
         g = ring.nf(series(rng, field, m), series(rng, field, m))
         hom = ContinuousHom(ring, series(rng, field, m), series(rng, field, m, unit=True))
-        for r in ring.admissible_indices(m):
+        for r in admissible(ring, m):
             check_nf(ring, f, g, r)
             check_duality(ring, pair, ring.nf(series(rng, field, m), series(rng, field, m)), hom, r)
         check_hom(ring, hom, g)
@@ -385,7 +387,7 @@ def test_sparse_terms_make_no_bignum_product(field, big_products):
     ring = AkizukiRing(field, 511)
     rng = random.Random(f"spy:{field}")
     x, y = (series(rng, field, 511) for _ in "xy")
-    u = ring.u_terms(511)
+    u = ring.w_terms
     assert len(u) == 7 and len(ring.neg_w) == 7
     sparse = _window_mul(field, 511, ((1, x.coeffs, None), (1, y.coeffs, u), (-1, x.coeffs, ring.neg_w)))
     assert big_products == []

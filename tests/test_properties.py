@@ -17,14 +17,14 @@ LAWS = [f"{suite}.{name}" for suite, laws in selftest.SUITES.items() for name, _
 EXPECTED = """
 series.ring_axioms series.inverse series.shift series.tail_stability
 series.tail_vanishing series.tail_linearity series.tail_addition
-ring.embedding_hom ring.mul_r_independent ring.inverse_law
+ring.embedding_hom ring.inverse_law
 ring.generator_consistency ring.exponent_growth
 cohomology.raising_invariance cohomology.annihilation
 cohomology.action_compatible cohomology.bilinearity cohomology.zero_detection
 cohomology.addition
 duality.residue_well_defined duality.residue_linear duality.defining_identity
 duality.roundtrip_class duality.roundtrip_hom duality.pair_additivity
-duality.cm_linearity duality.r_independent duality.canonical_levels
+duality.cm_linearity duality.canonical_levels
 duality.hom_addition duality.forward_additive
 completion.nilpotent completion.comp_axioms completion.closed_vs_composed
 completion.embed_multiplicative completion.endo_extraction

@@ -1,4 +1,6 @@
-"""Instance construction, the w-rewriting rule, generators, and units."""
+"""Instance construction, the square-zero relation, generators, and units."""
+
+import random
 
 import pytest
 
@@ -7,17 +9,45 @@ from akizuki import (
     InstanceError,
     NotInvertibleError,
     PrecisionError,
+    PrimeField,
     RationalField,
     TruncatedSeries,
     parse_series,
 )
-from support import RING_P2, RING_P101, RING_Q, law_test, naive_gen, naive_mul, naive_w
+from support import (
+    RING_P2,
+    RING_P101,
+    RING_Q,
+    admissible,
+    law_test,
+    naive_gen,
+    naive_gen_nf,
+    naive_mul,
+    naive_nf_inv,
+    naive_nf_mul,
+    naive_u,
+    naive_w,
+    rand_series,
+)
 
 QQ = RationalField()
+# Minimal and explicit exponent lists, with units other than 1 on the latter.
+RULE_RINGS = {
+    "q-31": RING_Q,
+    "fp2-31": RING_P2,
+    "fp101-511": AkizukiRing(PrimeField(101), 511),
+    "fp5-9-0,3,8": AkizukiRing(PrimeField(5), 9, exponents=(0, 3, 8), units=(2, 3, 4)),
+    "q-100-0,5,20,50": AkizukiRing(QQ, 100, exponents=(0, 5, 20, 50), units=(1, -2, 3, 5)),
+    "fp7-64-0,2,7,40": AkizukiRing(PrimeField(7), 64, exponents=(0, 2, 7, 40), units=(3, 1, 6, 2)),
+}
 
 
 def S(text, ring=RING_Q, precision=None):
     return parse_series(text, ring.field, precision or ring.precision)
+
+
+def lists(*series):
+    return [list(s.coeffs) for s in series]
 
 
 # ----------------------------------------------------------------------
@@ -66,39 +96,45 @@ def test_unused_exponent_tail_is_dropped():
 
 
 def test_partial_sums():
-    assert RING_Q.partial_sum(0).is_zero()
-    assert str(RING_Q.partial_sum(2)) == "t^2 + t^6"
-    assert str(RING_Q.partial_sum_at(2, 8)) == "t^2 + t^6"
-    assert RING_Q.partial_sum_at(2, 8).precision == 8
     # upper_sum_at(i, .) collects the terms strictly above index i
     assert str(RING_Q.upper_sum_at(1, 16)) == "t^6 + t^14"
-    with pytest.raises(IndexError):
-        RING_Q.partial_sum(5)
+    assert RING_Q.upper_sum_at(1, 16).precision == 16
+    # t_partial_sum(m) is w = t s_R mod t^m
+    assert str(RING_Q.t_partial_sum(14)) == "t^3 + t^7"
+    assert RING_Q.t_partial_sum(31) == RING_Q.w
 
 
-def test_reduction_index_table():
-    table = [(1, 0), (2, 0), (3, 1), (6, 1), (7, 2), (14, 2), (15, 3), (30, 3), (31, 4)]
-    for m, r in table:
-        assert RING_Q.reduction_index(m) == r, (m, r)
-    with pytest.raises(ValueError):
-        RING_Q.reduction_index(0)
-    with pytest.raises(ValueError):
-        RING_Q.reduction_index(32)
+def test_t_partial_sum_rejects_bad_level():
+    for m in (0, 32):
+        with pytest.raises(PrecisionError):
+            RING_Q.t_partial_sum(m)
 
 
 def test_admissible_indices():
-    assert list(RING_Q.admissible_indices(14)) == [2, 3, 4]
-    assert list(RING_Q.admissible_indices(31)) == [4]
-    assert list(RING_Q.admissible_indices(1)) == [0, 1, 2, 3, 4]
+    """The test-side index list: the least r at each level, then every
+    later one up to the top index R = 4."""
+    least = [(1, 0), (2, 0), (3, 1), (6, 1), (7, 2), (14, 2), (15, 3), (30, 3), (31, 4)]
+    for m, r in least:
+        assert admissible(RING_Q, m) == list(range(r, 5)), (m, r)
 
 
-def test_t_partial_sum_rejects_small_r():
-    with pytest.raises(ValueError):
-        RING_Q.t_partial_sum(14, r_index=1)
+@pytest.mark.parametrize("name", RULE_RINGS)
+def test_every_admissible_t_s_r_is_w(name):
+    """The relation (w - t s_r)^2 = 0 at level m has one coefficient: for
+    every r with 2 n_r + 2 >= m, t s_r = w mod t^m."""
+    ring = RULE_RINGS[name]
+    for m in range(1, ring.precision + 1):
+        rs = admissible(ring, m)
+        assert rs[-1] == ring.top_index, m
+        w = naive_w(ring, m)
+        for r in rs:
+            assert naive_u(ring, m, r) == w, (m, r)
+        assert ring.t_partial_sum(m) == ring.w.truncate(m)
+        assert list(ring.t_partial_sum(m).coeffs) == w
 
 
 # ----------------------------------------------------------------------
-# the rewriting rule w^2 = 2 t s_r w - t^2 s_r^2
+# the relation (w - t s_r)^2 = 0
 
 
 def test_w_square_golden():
@@ -156,17 +192,26 @@ def test_generator_golden():
 
 
 def test_generator_dual_route():
-    """Three independent routes: normal form embed, in-package DVR quotient,
-    and a plain-list oracle."""
-    for ring in (RING_Q, RING_P101, RING_P2):
-        for i in (0, 1, 2):
-            m = 12 if i < 2 else 8
-            via_nf = ring.generator_nf(i, m).embed()
-            via_series = ring.generator_series(i, m)
-            via_lists = TruncatedSeries(
-                ring.field, tuple(naive_gen(ring, i, m))
-            )
-            assert via_nf == via_series == via_lists, (str(ring.field), i)
+    """Every representable g_i at every level m: the normal form against a
+    plain-list one, and its embedding against the in-package DVR quotient
+    and a plain-list oracle.  The oracles run once per g_i, at its highest
+    level, since a lower level is a truncation.  Past the headroom cap, the
+    level is refused."""
+    for name, ring in RULE_RINGS.items():
+        top = 2 * ring.exponents[ring.top_index] + 2
+        for i in range(ring.top_index):
+            cap = top - (2 * ring.exponents[i] + 2)
+            highest = min(cap, ring.precision)
+            x, y = naive_gen_nf(ring, i, highest)
+            g = naive_gen(ring, i, highest)
+            for m in range(1, highest + 1):
+                form = ring.generator_nf(i, m)
+                assert lists(form.x, form.y) == [x[:m], y[:m]], (name, i, m)
+                assert list(form.embed().coeffs) == g[:m], (name, i, m)
+                assert ring.generator_series(i, m) == form.embed(), (name, i, m)
+            if cap < ring.precision:
+                with pytest.raises(PrecisionError):
+                    ring.generator_nf(i, cap + 1)
 
 
 def test_generator_headroom_cap():
@@ -196,8 +241,25 @@ def test_generator_index_beyond_top():
 
 
 test_embedding_is_a_ring_hom = law_test("ring.embedding_hom")
-test_mul_is_r_independent = law_test("ring.mul_r_independent")
 test_inverse_law = law_test("ring.inverse_law")
+
+
+@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
+def test_mul_is_r_independent(ring):
+    """At every level, the product and the inverse are the closed formulas
+    with u = t s_r, for every admissible r."""
+    field = ring.field
+    rng = random.Random(f"r-independent:{field}")
+    for m in range(1, ring.precision + 1):
+        f = ring.nf(rand_series(rng, field, m, unit=True), rand_series(rng, field, m))
+        g = ring.nf(rand_series(rng, field, m), rand_series(rng, field, m))
+        product, inverse = f * g, f.invert()
+        got = lists(product.x, product.y, inverse.x, inverse.y)
+        parts = lists(f.x, f.y, g.x, g.y)
+        for r in admissible(ring, m):
+            u = naive_u(ring, m, r)
+            want = naive_nf_mul(*parts, u, field) + naive_nf_inv(*parts[:2], u, field)
+            assert got == list(want), (m, r)
 
 
 def test_nf_level_discipline():

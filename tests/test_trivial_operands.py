@@ -25,7 +25,7 @@ from akizuki import (
     TruncatedSeries,
 )
 from akizuki.series import Terms, fused
-from support import naive_comp_mul, naive_inv, naive_mul, naive_w
+from support import field_value, naive_comp_mul, naive_inv, naive_mul, naive_w
 
 QQ = RationalField()
 FIELDS = [QQ, PrimeField(2), PrimeField(101)]
@@ -68,8 +68,7 @@ def oracle(field, n, terms):
     out = [field.zero()] * n
     for sign, a, *b in terms:
         prod = naive_mul(list(a.coeffs), as_list(b[0] if b else None, field, n), field, n)
-        op = field.add if sign > 0 else field.sub
-        out = [op(o, v) for o, v in zip(out, prod)]
+        out = [field_value(field, o + sign * v) for o, v in zip(out, prod)]
     return out
 
 
@@ -185,7 +184,7 @@ def test_invert_constants(field, kernel_calls):
     for n in (1, 2, 511):
         c = coeff(rng, field, nonzero=True)
         got = TruncatedSeries.constant(field, c, n).invert()
-        assert got == TruncatedSeries.constant(field, field.inv(c), n)
+        assert list(got.coeffs) == naive_inv([c], field, n)
     assert kernel_calls[0] == 0
 
 
