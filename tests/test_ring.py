@@ -110,12 +110,20 @@ def test_t_partial_sum_rejects_bad_level():
             RING_Q.t_partial_sum(m)
 
 
+def test_reduction_index_table():
+    """The least admissible index r (2 n_r + 2 >= m) of the test-side list
+    at each level of q@31."""
+    table = [(1, 0), (2, 0), (3, 1), (6, 1), (7, 2), (14, 2), (15, 3), (30, 3), (31, 4)]
+    for m, r in table:
+        assert admissible(RING_Q, m)[0] == r, (m, r)
+
+
 def test_admissible_indices():
-    """The test-side index list: the least r at each level, then every
-    later one up to the top index R = 4."""
-    least = [(1, 0), (2, 0), (3, 1), (6, 1), (7, 2), (14, 2), (15, 3), (30, 3), (31, 4)]
-    for m, r in least:
-        assert admissible(RING_Q, m) == list(range(r, 5)), (m, r)
+    """The test-side index list: the least r, then every later one up to
+    the top index R = 4."""
+    assert admissible(RING_Q, 14) == [2, 3, 4]
+    assert admissible(RING_Q, 31) == [4]
+    assert admissible(RING_Q, 1) == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("name", RULE_RINGS)
