@@ -8,9 +8,10 @@ vanishing criterion becomes simply x = y = 0 in the window, so classes have
 an exact equality test.
 
 A class is the pair of numerators x, y over t^n, a ``series.FractionPair``
-like the continuous homs: that base stores it at its least exponent and
-gives raising, equality across exponents, addition and the zero class
-gf(0; 0; 1).  This module adds the action of the ring.
+like the continuous homs: its constructor stores every class at its least
+exponent, so ``==`` is equality of classes however a class is built, and
+the base gives raising, addition and the zero class gf(0; 0; 1).  This
+module adds the action of the ring.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class CohomologyClass(FractionPair):
 
     @classmethod
     def make(cls, numerator: NormalForm, exponent: int) -> "CohomologyClass":
-        """Build the class of numerator / t^exponent and canonicalize."""
+        """The class of numerator / t^exponent (the numerator cut to that
+        level)."""
         if exponent < 1:
             raise ValueError("the denominator exponent must be at least 1")
         if numerator.level < exponent:
@@ -46,7 +48,7 @@ class CohomologyClass(FractionPair):
                 f"numerator level {numerator.level} below exponent {exponent}"
             )
         f = numerator.truncate(exponent)
-        return cls.least(f.ring, f.x, f.y)
+        return cls(f.ring, f.x, f.y)
 
     # ------------------------------------------------------------------
     # module structure

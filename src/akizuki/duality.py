@@ -130,8 +130,8 @@ class ContinuousHom(FractionPair):
     Determined by the level n and the numerators alpha, beta of its values
     at 1 and w; the value at x + y*w + t^n z is the class of
     (x alpha + y beta) / t^n.  A ``series.FractionPair``, like a class:
-    stored at the least level that represents the map, with the zero hom
-    hom(1; 0; 0).
+    the constructor stores it at the least level that represents the map,
+    so ``==`` is equality of maps; the zero hom is hom(1; 0; 0).
     """
 
     ring: AkizukiRing
@@ -141,8 +141,8 @@ class ContinuousHom(FractionPair):
 
     @classmethod
     def make(cls, ring: AkizukiRing, alpha: TruncatedSeries, beta: TruncatedSeries) -> "ContinuousHom":
-        """Canonicalize to the least level and wrap."""
-        return cls.least(ring, alpha, beta)
+        """The hom with numerators alpha, beta over t^n, n their precision."""
+        return cls(ring, alpha, beta)
 
     def __call__(self, f: NormalForm) -> LaurentTail:
         """Evaluate on a ring element given at level >= the hom level."""

@@ -73,8 +73,9 @@ class Pow:
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(g\d+)|([tw])|([()+\-*/^])|(\S))")
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
+def _tokenize(text: str) -> tuple:
+    """The (kind, value) tokens of an expression, and each token's text."""
+    tokens, spelled = [], []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -91,13 +92,14 @@ def _tokenize(text: str) -> list:
             tokens.append(("atom", atom))
         else:
             tokens.append(("op", op))
+        spelled.append(m.group(m.lastindex))
         pos = m.end()
-    return tokens
+    return tokens, spelled
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, tokens, spelled):
+        self.tokens, self.spelled = tokens, spelled
         self.pos = 0
         self.depth = 0
 
@@ -114,7 +116,7 @@ class _Parser:
     def expect_op(self, op):
         tok = self.take()
         if tok != ("op", op):
-            raise ParseError(f"expected {op!r}, got {tok!r}")
+            raise ParseError(f"expected {op!r}, got {self.spelled[self.pos - 1]!r}")
 
     def nested(self, parse):
         """Run a sub-parser one nesting level deeper."""
@@ -128,7 +130,7 @@ class _Parser:
     def parse(self):
         node = self.sum()
         if self.peek() is not None:
-            raise ParseError(f"trailing input at token {self.peek()!r}")
+            raise ParseError(f"trailing input at {self.spelled[self.pos]!r}")
         return node
 
     def sum(self):
@@ -181,10 +183,10 @@ class _Parser:
 
 def parse_expression(text: str):
     """Parse an expression into an AST; raises ParseError on bad input."""
-    tokens = _tokenize(text)
+    tokens, spelled = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _Parser(tokens).parse()
+    return _Parser(tokens, spelled).parse()
 
 
 def _power(base, k: int):

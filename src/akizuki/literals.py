@@ -24,8 +24,10 @@ from .fields import parse_int
 from .ring import AkizukiRing
 from .series import LaurentTail, TruncatedSeries
 
-_NUM_RE = re.compile(r"\d+(?:\s*/\s*\d+)?")
-_EXP_RE = re.compile(r"-?\d+")
+# One term: a sign, a coefficient p or p/q with an optional '*', and t or
+# t^k.  Every part is optional, so the pattern matches at any position and
+# the scanner names what is missing.
+_TERM_RE = re.compile(r"([+-]?)\s*(?:(\d+(?:\s*/\s*\d+)?)\s*(\*?)\s*)?(t(\^(-?\d+)?)?)?\s*")
 
 
 def _scan_terms(text: str, field):
@@ -33,53 +35,22 @@ def _scan_terms(text: str, field):
     s = text.strip()
     if not s:
         raise ParseError("empty series literal")
-    i, n = 0, len(s)
-    first = True
-    while i < n:
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-        elif not first:
-            raise ParseError(f"expected '+' or '-' before {s[i:]!r}")
-        while i < n and s[i].isspace():
-            i += 1
-        coeff_text = None
-        starred = False
-        m = _NUM_RE.match(s, i)
-        if m:
-            coeff_text = re.sub(r"\s", "", m.group())
-            i = m.end()
-            while i < n and s[i].isspace():
-                i += 1
-            if i < n and s[i] == "*":
-                starred = True
-                i += 1
-                while i < n and s[i].isspace():
-                    i += 1
-        exponent = None
-        if i < n and s[i] == "t":
-            i += 1
-            if i < n and s[i] == "^":
-                i += 1
-                m = _EXP_RE.match(s, i)
-                if not m:
-                    raise ParseError(f"missing exponent after '^' in {text!r}")
-                exponent = parse_int(m.group())
-                i = m.end()
-            else:
-                exponent = 1
-        elif starred:
+    pos = 0
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        sign, coeff_text, star, t, caret, exp = m.groups()
+        if not sign and pos:
+            raise ParseError(f"expected '+' or '-' before {s[pos:]!r}")
+        if caret and exp is None:
+            raise ParseError(f"missing exponent after '^' in {text!r}")
+        if star and not t:
             raise ParseError(f"dangling '*' in {text!r}")
-        if coeff_text is None and exponent is None:
-            raise ParseError(f"expected a term at {s[i:]!r}")
-        coeff = field.parse(coeff_text) if coeff_text is not None else field.one()
-        if sign < 0:
-            coeff = field.neg(coeff)
-        yield (exponent if exponent is not None else 0, coeff)
-        while i < n and s[i].isspace():
-            i += 1
-        first = False
+        if coeff_text is None and not t:
+            raise ParseError(f"expected a term at {s[m.end():]!r}")
+        exponent = parse_int(exp) if exp else 1 if t else 0
+        coeff = field.parse(re.sub(r"\s", "", coeff_text)) if coeff_text else field.one()
+        yield exponent, field.neg(coeff) if sign == "-" else coeff
+        pos = m.end()
 
 
 def parse_series(text: str, field, precision: int) -> TruncatedSeries:

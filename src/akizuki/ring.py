@@ -169,9 +169,6 @@ class AkizukiRing:
     def one_nf(self, m: int) -> "NormalForm":
         return self.constant_nf(self.field.one(), m)
 
-    def zero_nf(self, m: int) -> "NormalForm":
-        return self.constant_nf(self.field.zero(), m)
-
     def w_nf(self, m: int) -> "NormalForm":
         field = self.field
         return self.nf(

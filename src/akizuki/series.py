@@ -35,13 +35,14 @@ field call per window (``field.pointwise``).
 A LaurentTail models a finite principal part sum_{j>=1} d_j t^{-j}, i.e. the
 class of a fraction f/t^n modulo integral series.  One type serves all three
 isomorphic quotients K/A, K^/A^ and the top local cohomology of A itself.
-Tails are kept canonical (the deepest pole coefficient is nonzero), so
-equality is plain coefficient comparison.
+The constructor drops vanishing deepest pole coefficients, so every tail is
+canonical however it is built and equality is plain coefficient comparison.
 
 ``SeriesPair`` is the base of every type built on two series over one ring.
 ``FractionPair`` refines it for two numerators over t^n modulo t^n, the
-cohomology classes and continuous homs: the least-level cut, raising, the
-equality test across levels and addition are written there once.
+cohomology classes and continuous homs: its constructor cuts both
+numerators to their least level, so every value is canonical and ``==`` is
+the one equality; raising and addition across levels are written there once.
 """
 
 from __future__ import annotations
@@ -153,10 +154,6 @@ class TruncatedSeries:
     def precision(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def constant_term(self):
-        return self.coeffs[0]
-
     def is_zero(self) -> bool:
         return all(self.field.is_zero(c) for c in self.coeffs)
 
@@ -250,8 +247,6 @@ class TruncatedSeries:
         return TruncatedSeries(field, field.pointwise(operator.mul, repeat(c), self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, LaurentTail):
-            return NotImplemented
         return fused((1, self, other))
 
     def invert(self) -> "TruncatedSeries":
@@ -286,10 +281,7 @@ class TruncatedSeries:
             raise PrecisionError(
                 f"principal part at t^-{n} needs precision >= {n}, have {self.precision}"
             )
-        vals = list(self.coeffs[n - 1 :: -1])  # d_j = c_{n-j}
-        while vals and self.field.is_zero(vals[-1]):
-            vals.pop()
-        return LaurentTail(self.field, tuple(vals))
+        return LaurentTail(self.field, self.coeffs[n - 1 :: -1])  # d_j = c_{n-j}
 
     # ------------------------------------------------------------------
 
@@ -305,25 +297,26 @@ class TruncatedSeries:
 
 @dataclass(frozen=True)
 class LaurentTail:
-    """A principal part d_1 t^-1 + ... + d_depth t^-depth, kept canonical."""
+    """A principal part d_1 t^-1 + ... + d_depth t^-depth.
+
+    The constructor drops vanishing deepest coefficients, so the stored
+    ``coeffs`` end with a nonzero entry (or are empty for the zero tail).
+    """
 
     field: object
     coeffs: tuple  # d_1 .. d_depth; the last entry is nonzero
 
     def __post_init__(self):
-        if self.coeffs and self.field.is_zero(self.coeffs[-1]):
-            raise ValueError("tail is not canonical: deepest coefficient vanishes")
+        coeffs, is_zero = self.coeffs, self.field.is_zero
+        depth = len(coeffs)
+        while depth and is_zero(coeffs[depth - 1]):
+            depth -= 1
+        if depth < len(coeffs):
+            object.__setattr__(self, "coeffs", coeffs[:depth])
 
     @classmethod
     def from_coeffs(cls, field, values) -> "LaurentTail":
-        vals = [field.from_int(v) if isinstance(v, int) else v for v in values]
-        while vals and field.is_zero(vals[-1]):
-            vals.pop()
-        return cls(field, tuple(vals))
-
-    @classmethod
-    def zero(cls, field) -> "LaurentTail":
-        return cls(field, ())
+        return cls(field, tuple(field.from_int(v) if isinstance(v, int) else v for v in values))
 
     @property
     def depth(self) -> int:
@@ -339,10 +332,7 @@ class LaurentTail:
             raise PrecisionError("coefficient fields differ")
         field = self.field
         pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=field.zero())
-        return LaurentTail.from_coeffs(field, [field.add(a, b) for a, b in pairs])
-
-    def __neg__(self):
-        return LaurentTail(self.field, self.field.pointwise(operator.neg, self.coeffs))
+        return LaurentTail(field, tuple(field.add(a, b) for a, b in pairs))
 
     def numerator(self, n: int) -> TruncatedSeries:
         """The series g with self = class of g / t^n (requires depth <= n)."""
@@ -365,11 +355,6 @@ class LaurentTail:
                 f"scalar precision {c.precision} below tail depth {d}"
             )
         return (c.truncate(d) * self.numerator(d)).principal_part(d)
-
-    def __rmul__(self, c):
-        if isinstance(c, TruncatedSeries):
-            return self.scaled_by(c)
-        return NotImplemented
 
     def __str__(self) -> str:
         terms = [
@@ -699,23 +684,26 @@ class FractionPair(SeriesPair):
     """Base of the types that are two numerators over t^n, modulo t^n: the
     cohomology classes gf(x; y; n) and the continuous homs hom(n; a; b).
 
-    The level n is the numerators' precision.  ``least`` stores a fraction
-    at its least level, cancelling t from both sides while both numerators
-    share it and n exceeds 1, so equal fractions are equal values.
-    ``equivalent`` and ``+`` work at the larger of two levels.
+    The level n is the numerators' precision.  After the ``SeriesPair``
+    checks the constructor stores the fraction at its least level,
+    cancelling t from both numerators while both share it and n exceeds 1,
+    so equal fractions are equal values however they are built.  ``+``
+    works at the larger of two levels.
     """
+
+    def __post_init__(self):
+        super().__post_init__()
+        x, y = self._series()
+        is_zero, k = x.field.is_zero, 0
+        while k < x.precision - 1 and is_zero(x.coeffs[k]) and is_zero(y.coeffs[k]):
+            k += 1
+        if k:
+            object.__setattr__(self, self._parts[0], x.shift(-k))
+            object.__setattr__(self, self._parts[1], y.shift(-k))
 
     @property
     def level(self) -> int:
         return getattr(self, self._parts[0]).precision
-
-    @classmethod
-    def least(cls, ring, x: TruncatedSeries, y: TruncatedSeries):
-        """The fraction (x, y) / t^n, stored at its least level."""
-        is_zero, k = x.field.is_zero, 0
-        while k < x.precision - 1 and is_zero(x.coeffs[k]) and is_zero(y.coeffs[k]):
-            k += 1
-        return cls(ring, x.shift(-k), y.shift(-k))
 
     @classmethod
     def zero(cls, ring):
@@ -730,16 +718,8 @@ class FractionPair(SeriesPair):
             raise PrecisionError(f"cannot lower level {self.level} to {n}")
         return tuple(part.promote(k) for part in self._series())
 
-    def equivalent(self, other) -> bool:
-        """Equality as fractions, checked at a common level (does not rely
-        on both sides being at their least level)."""
-        self._compat(other)
-        n = max(self.level, other.level)
-        return self.raised(n) == other.raised(n)
-
     def __add__(self, other):
-        """The sum at the larger level, stored at its least level (so is
-        the inherited difference)."""
+        """The sum at the larger level (so is the inherited difference)."""
         self._compat(other)
         n = max(self.level, other.level)
-        return self.least(self.ring, *map(operator.add, self.raised(n), other.raised(n)))
+        return type(self)(self.ring, *map(operator.add, self.raised(n), other.raised(n)))

@@ -46,6 +46,16 @@ def test_nf_division_by_t_fails(capsys):
     assert "error" in err
 
 
+def test_trailing_token_is_quoted_as_written(capsys):
+    code, out, err = run_cli(capsys, "nf", "t t")
+    assert (code, out, err) == (2, "", "parse error: trailing input at 't'\n")
+
+
+def test_unclosed_parenthesis_names_the_token_found(capsys):
+    code, out, err = run_cli(capsys, "nf", "(1 2)")
+    assert (code, out, err) == (2, "", "parse error: expected ')', got '2'\n")
+
+
 def test_nf_garbage_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "nf", "t @ w")
     assert code == 2

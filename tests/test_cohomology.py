@@ -35,11 +35,23 @@ def test_make_strips_common_powers():
 
 
 def test_make_zero_collapses():
-    f = RING_Q.zero_nf(7)
+    f = RING_Q.constant_nf(0, 7)
     k = CohomologyClass.make(f, 7)
     assert k.is_zero()
     assert k.exponent == 1
     assert k == CohomologyClass.zero(RING_Q)
+    assert CohomologyClass(RING_Q, f.x, f.y) == k  # built directly, too
+
+
+@pytest.mark.parametrize("x, y, n", [("1", "0", 1), ("1 + t", "2t", 3), ("0", "1", 1), ("t", "1/2", 4)])
+def test_constructor_cuts_to_least_level(x, y, n):
+    """A class built directly from numerators t x, t y over t^(n + 1) is the
+    class of x, y over t^n: the constructor stores the least level."""
+    lower = CohomologyClass(RING_Q, S(x, n), S(y, n))
+    raised = CohomologyClass(RING_Q, S(x, n).promote(1), S(y, n).promote(1))
+    assert raised == lower == CohomologyClass.make(RING_Q.nf(S(x, n), S(y, n)), n)
+    assert raised.exponent == n
+    assert (raised.x, raised.y) == (S(x, n), S(y, n))
 
 
 def test_make_respects_unit_floor():
@@ -75,9 +87,9 @@ def test_w_over_t_vanishing_tail_nonzero_class():
 
 
 def test_equivalent_across_exponents():
-    assert K("gf(1;0;1)").equivalent(K("gf(t;0;2)"))
-    assert not K("gf(1;0;1)").equivalent(K("gf(1;0;2)"))
-    assert K("gf(t;0;2)") == K("gf(1;0;1)")  # make() canonicalizes
+    assert K("gf(1;0;1)") == K("gf(t;0;2)")
+    assert K("gf(1;0;1)") != K("gf(1;0;2)")
+    assert K("gf(t;0;2)") == K("gf(1;0;1)")  # every class is at its least level
 
 
 def test_raised_numerator():

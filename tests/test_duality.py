@@ -105,8 +105,21 @@ def test_hom_evaluation_level_guard():
 
 
 def test_hom_equivalent_across_levels():
-    assert H("hom(1;1;0)").equivalent(H("hom(2;t;0)"))
-    assert H("hom(2;t;0)") == H("hom(1;1;0)")  # make() canonicalizes
+    assert H("hom(1;1;0)") == H("hom(2;t;0)")
+    assert H("hom(2;t;0)") == H("hom(1;1;0)")  # every hom is at its least level
+    zero = S("0", 5)
+    assert ContinuousHom(RING_Q, zero, zero) == ContinuousHom.zero(RING_Q)
+
+
+@pytest.mark.parametrize("alpha, beta, n", [("1", "0", 1), ("1 + t", "2t", 3), ("0", "1", 2), ("t", "1/2", 4)])
+def test_hom_constructor_cuts_to_least_level(alpha, beta, n):
+    """A hom built directly from numerators t alpha, t beta over t^(n + 1)
+    is the hom of alpha, beta over t^n."""
+    a, b = S(alpha, n), S(beta, n)
+    lower = ContinuousHom(RING_Q, a, b)
+    raised = ContinuousHom(RING_Q, a.promote(1), b.promote(1))
+    assert raised == lower == ContinuousHom.make(RING_Q, a, b)
+    assert (raised.level, raised.alpha, raised.beta) == (n, a, b)
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,16 @@ def test_series_literal_errors():
         parse_series("1/0", QQ, 4)
 
 
+def test_term_without_sign_is_named():
+    with pytest.raises(ParseError, match=r"^expected '\+' or '-' before 't'$"):
+        parse_series("t t", QQ, 4)
+
+
+def test_whitespace_after_star():
+    assert parse_series("2* t", QQ, 4) == parse_series("2t", QQ, 4)
+    assert parse_series("3/2 *  t^2", QQ, 4) == parse_series("3/2*t^2", QQ, 4)
+
+
 def test_prime_field_literals():
     assert str(parse_series("-1", F101, 3)) == "100"
     # p/q literals are read through the modular inverse

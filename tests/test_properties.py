@@ -1,15 +1,29 @@
 """Every law of the registry ``akizuki.selftest.SUITES`` over q, fp:101 and
-fp:2, and the registry's own plumbing: the CLI names each law, and the
-random series reach the edge cases the laws need."""
+fp:2 with minimal exponents and unit coefficients 1, and over two rings
+with explicit exponents and units; and the registry's own plumbing: the
+CLI names each law, and the random series reach the edge cases the laws
+need."""
 
 import random
 from collections import Counter
 
 import pytest
 
-from akizuki import selftest
+from akizuki import AkizukiRing, PrimeField, RationalField, selftest
 from akizuki.cli import main
 from support import RING_P2, RING_P101, RING_Q, assert_laws
+
+RING_P5_EXPLICIT = AkizukiRing(PrimeField(5), 9, exponents=(0, 3, 8), units=(2, 3, 4))
+RING_Q_EXPLICIT = AkizukiRing(
+    RationalField(), 40, exponents=(0, 5, 20, 50), units=(1, -2, 3, 5)
+)
+RINGS = {
+    "q": RING_Q,
+    "fp:101": RING_P101,
+    "fp:2": RING_P2,
+    "fp:5-explicit": RING_P5_EXPLICIT,
+    "q-explicit": RING_Q_EXPLICIT,
+}
 
 LAWS = [f"{suite}.{name}" for suite, laws in selftest.SUITES.items() for name, _ in laws]
 
@@ -32,7 +46,7 @@ completion.unit_composition
 """.split()
 
 
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101, RING_P2], ids=lambda r: str(r.field))
+@pytest.mark.parametrize("ring", list(RINGS.values()), ids=list(RINGS))
 @pytest.mark.parametrize("law", LAWS)
 def test_law(law, ring):
     assert_laws(ring, law)

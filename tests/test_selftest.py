@@ -2,7 +2,7 @@
 
 import pytest
 
-from akizuki import selftest
+from akizuki import AkizukiRing, selftest
 from support import RING_P101, RING_Q
 
 
@@ -54,3 +54,21 @@ def test_failures_are_reported(monkeypatch):
     ok, lines = collect(RING_Q, "series")
     assert not ok
     assert lines == ["FAIL series.broken_property case=0: simulated failure"]
+
+
+def _generator_nf_without_top_term(ring, i, m):
+    """``AkizukiRing.generator_nf`` with the top term a_R t^(n_R) dropped
+    from s_R: a wrong normal form whose embedding mod t^m often agrees."""
+    drop = ring._generator_drop(i, m)
+    need = m + drop
+    s_i = ring._terms(1, i + 1, need)
+    s_top = ring._terms(1, len(ring.exponents) - 1, need)
+    x = (s_i * s_i - s_top * s_top).shift(2).shift(-drop)
+    y = (s_top - s_i).shift(1).scale(2).shift(-drop)
+    return ring.nf(x, y)
+
+
+@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
+def test_generator_consistency_sees_a_wrong_normal_form(monkeypatch, ring):
+    monkeypatch.setattr(AkizukiRing, "generator_nf", _generator_nf_without_top_term)
+    assert selftest.check(ring, "ring", "generator_consistency", 0, 40) is not None

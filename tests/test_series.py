@@ -89,12 +89,20 @@ def test_tail_examples():
         S("1", precision=2).principal_part(3)
 
 
+def test_tail_constructor_drops_vanishing_deepest_coefficients():
+    assert LaurentTail(F101, (1, 0, 0)) == LaurentTail.from_coeffs(F101, [1])
+    assert LaurentTail(F101, (1, 0, 0)).depth == 1
+    assert LaurentTail(QQ, (QQ.zero(), QQ.one(), QQ.zero())) == LaurentTail.from_coeffs(QQ, [0, 1])
+    assert LaurentTail(F101, (0, 0)) == LaurentTail(F101, ())
+    assert LaurentTail(F101, (0, 0)).is_zero() and str(LaurentTail(F101, (0,))) == "0"
+
+
 def test_tail_scale_examples():
     t = S("t", precision=4)
-    assert (t * S("1", precision=4).principal_part(1)).is_zero()
-    assert str(t * S("1+t", precision=4).principal_part(2)) == "t^-1"
+    assert S("1", precision=4).principal_part(1).scaled_by(t).is_zero()
+    assert str(S("1+t", precision=4).principal_part(2).scaled_by(t)) == "t^-1"
     tail = S("1", precision=4).principal_part(2)
-    assert str(S("1+t", precision=4) * tail) == "t^-2 + t^-1"
+    assert str(tail.scaled_by(S("1+t", precision=4))) == "t^-2 + t^-1"
 
 
 def test_tail_numerator_roundtrip():
