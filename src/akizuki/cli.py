@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import selftest
 from .config import RingSettings
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_ring(args):
     settings = RingSettings.from_file(args.config) if args.config else RingSettings()
     if args.field:
-        settings = replace(settings, field_spec=args.field)
+        settings = settings.replace(field_spec=args.field)
     return settings.build()
 
 

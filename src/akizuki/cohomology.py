@@ -16,21 +16,15 @@ module adds the action of the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PrecisionError
-from .ring import AkizukiRing, NormalForm
+from .ring import NormalForm
 from .series import FractionPair, TruncatedSeries
 
 
-@dataclass(frozen=True)
 class CohomologyClass(FractionPair):
     """The class of (x + y*w) / t^n, written gf(x; y; n)."""
 
-    ring: AkizukiRing
-    x: TruncatedSeries
-    y: TruncatedSeries
-    _parts = ("x", "y")
+    __slots__ = _parts = ("x", "y")
     exponent = FractionPair.level  # the level n of the denominator t^n
 
     @property

@@ -13,11 +13,11 @@ Unknown keys are rejected.  ``#`` starts a comment; blank lines are ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 
 from .errors import ParseError
 from .fields import PrimeField, RationalField, parse_int
 from .ring import MAX_PRECISION, MINIMAL, AkizukiRing
+from .value import Value
 
 DEFAULT_PRECISION = 31
 
@@ -35,15 +35,28 @@ def parse_field_spec(spec: str):
     raise ParseError(f"unknown field spec {spec!r} (expected 'q' or 'fp:<prime>')")
 
 
-@dataclass(frozen=True)
-class RingSettings:
+class RingSettings(Value):
     """Everything needed to build a ring; units stay textual until the
-    field is known, so a field override re-interprets them correctly."""
+    field is known, so a field override re-interprets them correctly.
 
-    field_spec: str = "q"
-    precision: int = DEFAULT_PRECISION
-    exponents: object = MINIMAL  # MINIMAL or a tuple of ints
-    units: tuple[str, ...] | None = None
+    ``exponents`` is MINIMAL or a tuple of ints, ``units`` a tuple of
+    strings or None.
+    """
+
+    __slots__ = _fields = ("field_spec", "precision", "exponents", "units")
+
+    def __init__(
+        self,
+        field_spec: str = "q",
+        precision: int = DEFAULT_PRECISION,
+        exponents=MINIMAL,
+        units: tuple[str, ...] | None = None,
+    ):
+        super().__init__(field_spec, precision, exponents, units)
+
+    def replace(self, **changes) -> "RingSettings":
+        """These settings with the given fields changed."""
+        return RingSettings(**dict(zip(self._fields, self._values()), **changes))
 
     @classmethod
     def from_text(cls, text: str) -> "RingSettings":
@@ -57,7 +70,7 @@ class RingSettings:
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "field":
                 parse_field_spec(value)  # validate early
-                settings = replace(settings, field_spec=value)
+                settings = settings.replace(field_spec=value)
             elif key == "precision":
                 if not re.fullmatch(r"\d+", value):
                     raise ParseError(f"config line {lineno}: bad precision {value!r}")
@@ -67,10 +80,10 @@ class RingSettings:
                         f"config line {lineno}: precision {precision} exceeds "
                         f"the maximum {MAX_PRECISION}"
                     )
-                settings = replace(settings, precision=precision)
+                settings = settings.replace(precision=precision)
             elif key == "exponents":
                 if value == MINIMAL:
-                    settings = replace(settings, exponents=MINIMAL)
+                    settings = settings.replace(exponents=MINIMAL)
                 else:
                     try:
                         exps = tuple(int(part) for part in value.split(","))
@@ -78,12 +91,12 @@ class RingSettings:
                         raise ParseError(
                             f"config line {lineno}: bad exponent list {value!r}"
                         ) from exc
-                    settings = replace(settings, exponents=exps)
+                    settings = settings.replace(exponents=exps)
             elif key == "units":
                 parts = tuple(part.strip() for part in value.split(","))
                 if not all(parts):
                     raise ParseError(f"config line {lineno}: bad unit list {value!r}")
-                settings = replace(settings, units=parts)
+                settings = settings.replace(units=parts)
             else:
                 raise ParseError(f"config line {lineno}: unknown key {key!r}")
         return settings

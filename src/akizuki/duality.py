@@ -33,8 +33,7 @@ the operational composition route agree window-for-window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .cohomology import CohomologyClass
 from .errors import AlgebraError, NotInvertibleError, PrecisionError
@@ -42,14 +41,10 @@ from .ring import AkizukiRing, NormalForm
 from .series import FractionPair, LaurentTail, SeriesPair, TruncatedSeries, dual_mul, fused
 
 
-@dataclass(frozen=True)
 class ResiduePair(SeriesPair):
     """The defining data (sigma, rho) of a residue map, at one precision."""
 
-    ring: AkizukiRing
-    sigma: TruncatedSeries
-    rho: TruncatedSeries
-    _parts = ("sigma", "rho")
+    __slots__ = _parts = ("sigma", "rho")
 
     @property
     def precision(self) -> int:
@@ -123,7 +118,6 @@ class ResiduePair(SeriesPair):
         return f"ResiduePair({self})"
 
 
-@dataclass(frozen=True)
 class ContinuousHom(FractionPair):
     """A continuous A-linear map C_M -> K/A killing t^n C_M.
 
@@ -134,10 +128,7 @@ class ContinuousHom(FractionPair):
     so ``==`` is equality of maps; the zero hom is hom(1; 0; 0).
     """
 
-    ring: AkizukiRing
-    alpha: TruncatedSeries
-    beta: TruncatedSeries
-    _parts = ("alpha", "beta")
+    __slots__ = _parts = ("alpha", "beta")
 
     @classmethod
     def make(cls, ring: AkizukiRing, alpha: TruncatedSeries, beta: TruncatedSeries) -> "ContinuousHom":
@@ -189,7 +180,6 @@ def extract_pair(
     return ResiduePair(ring, sigma, rho)
 
 
-@dataclass(frozen=True)
 class CompletionElement(SeriesPair):
     """An element rho + sigma X of the completed ring A^[X]/(X + t(z-a_0))^2.
 
@@ -200,10 +190,7 @@ class CompletionElement(SeriesPair):
     X^2 = -2 w X - w^2 (the defining relation, with w = t(z - a_0)).
     """
 
-    ring: AkizukiRing
-    rho: TruncatedSeries
-    sigma: TruncatedSeries
-    _parts = ("rho", "sigma")
+    __slots__ = _parts = ("rho", "sigma")
     _full = True
 
     @classmethod

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 
 from .errors import AlgebraError, ParseError
 from .fields import parse_int
 from .ring import AkizukiRing, NormalForm
 from .series import TruncatedSeries
+from .value import Value
 
 # Each level of parentheses costs the recursive-descent parser five Python
 # frames; this bound keeps parsing well inside the default recursion limit.
@@ -37,37 +37,28 @@ MAX_NESTING = 100
 MAX_POWER_BITS = 1 << 16
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(Value):
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str  # "t" or "w"
+class Atom(Value):
+    __slots__ = _fields = ("name",)  # "t" or "w"
 
 
-@dataclass(frozen=True)
-class Gen:
-    index: int
+class Gen(Value):
+    __slots__ = _fields = ("index",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Neg(Value):
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: object
-    right: object
+class BinOp(Value):
+    __slots__ = _fields = ("op", "left", "right")  # op one of + - * /
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(Value):
+    __slots__ = _fields = ("base", "exponent")
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(g\d+)|([tw])|([()+\-*/^])|(\S))")

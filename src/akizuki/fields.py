@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormatError, NotInvertibleError, ParseError
+from .value import Value, set_field
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?$")
 _ZERO = Fraction(0)
@@ -87,9 +87,10 @@ def _digit_count(n: int) -> str:
     return str(digits - 1 if n < 10 ** (digits - 1) else digits)
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(Value):
     """The field of exact rational numbers."""
+
+    __slots__ = ()
 
     @property
     def characteristic(self) -> int:
@@ -162,11 +163,14 @@ class RationalField:
         return "q"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Value):
     """The field of integers modulo a prime p; values are ints in [0, p)."""
 
-    p: int
+    __slots__ = _fields = ("p",)
+
+    def __init__(self, p: int):
+        set_field(self, "p", p)
+        self.__post_init__()  # a method of its own: perfbench/spans.py times it by name
 
     def __post_init__(self):
         if not is_prime(self.p):

@@ -35,8 +35,6 @@ on such pairs; the discarded remainder in t^m C_M is never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InstanceError, NotInvertibleError, PrecisionError
 from .series import SeriesPair, Terms, TruncatedSeries, dual_invert, dual_mul, fused
 
@@ -236,19 +234,15 @@ class AkizukiRing:
         )
 
 
-@dataclass(frozen=True)
 class NormalForm(SeriesPair):
     """The class of x + y*w modulo t^m C_M.
 
     Both components are series at precision m (the *level* of the form).
-    By construction the pair determines the class uniquely, so dataclass
-    equality is exact equality in C_M / t^m C_M.
+    By construction the pair determines the class uniquely, so ``==``, which
+    compares ring, x and y, is exact equality in C_M / t^m C_M.
     """
 
-    ring: AkizukiRing
-    x: TruncatedSeries
-    y: TruncatedSeries
-    _parts = ("x", "y")
+    __slots__ = _parts = ("x", "y")
 
     @property
     def level(self) -> int:

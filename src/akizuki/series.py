@@ -51,10 +51,10 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import compress, islice, repeat, zip_longest
 
 from .errors import ExactDivisionError, NotInvertibleError, PrecisionError
+from .value import Value, bind, set_field
 
 
 def format_terms(field, terms) -> str:
@@ -90,8 +90,7 @@ def format_terms(field, terms) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """The class of a power series in t modulo t^N.
 
     ``coeffs`` holds c_0 .. c_{N-1} as canonical field values; the precision
@@ -99,12 +98,13 @@ class TruncatedSeries:
     every coefficient agree.  Instances are immutable.
     """
 
-    field: object
-    coeffs: tuple
+    __slots__ = _fields = ("field", "coeffs")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, field, coeffs):
+        if not coeffs:
             raise PrecisionError("a series needs precision at least 1")
+        set_field(self, "field", field)
+        set_field(self, "coeffs", coeffs)
 
     # ------------------------------------------------------------------
     # construction
@@ -295,24 +295,22 @@ class TruncatedSeries:
         return f"TruncatedSeries({self} mod t^{self.precision})"
 
 
-@dataclass(frozen=True)
-class LaurentTail:
+class LaurentTail(Value):
     """A principal part d_1 t^-1 + ... + d_depth t^-depth.
 
-    The constructor drops vanishing deepest coefficients, so the stored
-    ``coeffs`` end with a nonzero entry (or are empty for the zero tail).
+    ``coeffs`` holds d_1 .. d_depth.  The constructor drops vanishing
+    deepest coefficients, so the stored ``coeffs`` end with a nonzero entry
+    (or are empty for the zero tail).
     """
 
-    field: object
-    coeffs: tuple  # d_1 .. d_depth; the last entry is nonzero
+    __slots__ = _fields = ("field", "coeffs")
 
-    def __post_init__(self):
-        coeffs, is_zero = self.coeffs, self.field.is_zero
-        depth = len(coeffs)
+    def __init__(self, field, coeffs):
+        is_zero, depth = field.is_zero, len(coeffs)
         while depth and is_zero(coeffs[depth - 1]):
             depth -= 1
-        if depth < len(coeffs):
-            object.__setattr__(self, "coeffs", coeffs[:depth])
+        set_field(self, "field", field)
+        set_field(self, "coeffs", coeffs[:depth] if depth < len(coeffs) else coeffs)
 
     @classmethod
     def from_coeffs(cls, field, values) -> "LaurentTail":
@@ -631,33 +629,45 @@ def dual_invert(x, y, c):
     return fused((1, i), (-1, y_inv, c)), y_inv
 
 
-class SeriesPair:
+class SeriesPair(Value):
     """Base of the types built on two series over one ring.
 
-    A subclass is a frozen dataclass of ``ring`` and two series, which it
-    names in ``_parts``.  Both series lie over the ring's field at one
-    precision, at most the working precision, or exactly it when ``_full``
-    is set; otherwise construction raises PrecisionError.  Zero test,
-    negation, addition and subtraction work componentwise.
+    A subclass is a value of ``ring`` and two series, which it names in
+    ``__slots__`` and ``_parts``.  Both series lie over the ring's field at
+    one precision, at most the working precision, or exactly it when
+    ``_full`` is set; otherwise construction raises PrecisionError.  Zero
+    test, negation, addition and subtraction work componentwise.
     """
 
+    __slots__ = ("ring",)
     _parts: tuple
     _full = False
 
-    def __post_init__(self):
-        first, second = self._series()
-        ring, name = self.ring, type(self).__name__
+    def __init__(self, ring, *series, **named):
+        if named or len(series) != 2:
+            series = bind(self, self._parts, series, named)
+        first, second = series
+        field, name = ring.field, type(self).__name__
         n, m, top = first.precision, second.precision, ring.precision
-        if first.field != ring.field or second.field != ring.field:
+        if not (first.field is field is second.field or first.field == field == second.field):
             raise PrecisionError(f"{name} fields differ from the ring field")
         if m != n or n > top or (self._full and n < top):
             raise PrecisionError(
                 f"{name} component precisions {n} and {m} must agree and "
                 f"{'equal' if self._full else 'stay within'} the working precision {top}"
             )
+        a, b = self._parts
+        set_field(self, "ring", ring)
+        set_field(self, a, first)
+        set_field(self, b, second)
+
+    @property
+    def _fields(self) -> tuple:
+        return ("ring", *self._parts)
 
     def _series(self) -> tuple:
-        return tuple(getattr(self, part) for part in self._parts)
+        a, b = self._parts
+        return getattr(self, a), getattr(self, b)
 
     def _compat(self, other):
         name = type(self).__name__
@@ -691,15 +701,17 @@ class FractionPair(SeriesPair):
     works at the larger of two levels.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, ring, *series, **named):
+        super().__init__(ring, *series, **named)
         x, y = self._series()
         is_zero, k = x.field.is_zero, 0
         while k < x.precision - 1 and is_zero(x.coeffs[k]) and is_zero(y.coeffs[k]):
             k += 1
         if k:
-            object.__setattr__(self, self._parts[0], x.shift(-k))
-            object.__setattr__(self, self._parts[1], y.shift(-k))
+            set_field(self, self._parts[0], x.shift(-k))
+            set_field(self, self._parts[1], y.shift(-k))
 
     @property
     def level(self) -> int:

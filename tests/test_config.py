@@ -1,7 +1,5 @@
 """The key = value instance configuration format."""
 
-from dataclasses import replace
-
 import pytest
 
 from akizuki import (
@@ -62,10 +60,18 @@ def test_from_text_defaults_and_minimal():
 def test_units_reinterpreted_on_field_override():
     """Units stay textual, so swapping the field re-reads them."""
     settings = RingSettings.from_text("exponents = 0,3,8\nunits = 1,-1,2")
-    q_ring = replace(settings, precision=9).build()
-    p_ring = replace(settings, precision=9, field_spec="fp:7").build()
+    q_ring = settings.replace(precision=9).build()
+    p_ring = settings.replace(precision=9, field_spec="fp:7").build()
     assert q_ring.units[1] == RationalField().from_int(-1)
     assert p_ring.units[1] == 6
+
+
+def test_replace_changes_only_the_given_fields():
+    settings = RingSettings.from_text("exponents = 0,3,8\nunits = 1,-1,2")
+    assert settings.replace(precision=9) == RingSettings("q", 9, (0, 3, 8), ("1", "-1", "2"))
+    assert settings == RingSettings(exponents=(0, 3, 8), units=("1", "-1", "2"))
+    with pytest.raises(TypeError):
+        settings.replace(volume=11)
 
 
 def test_from_text_errors():
