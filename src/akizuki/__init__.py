@@ -27,7 +27,6 @@ from .expressions import (
     Num,
     Pow,
     eval_nf,
-    eval_series,
     parse_expression,
 )
 from .fields import PrimeField, RationalField
@@ -71,7 +70,6 @@ __all__ = [
     "TruncatedSeries",
     "default_ring",
     "eval_nf",
-    "eval_series",
     "extract_pair",
     "parse_comp",
     "parse_expression",

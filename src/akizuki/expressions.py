@@ -6,11 +6,6 @@ exponent.  Rational constants are spelled as quotients (``1/2``), which the
 evaluator resolves by local division, so they need no dedicated literal.
 Parentheses and unary signs nest at most MAX_NESTING deep, and over q the
 coefficients of a power stay within MAX_POWER_BITS bits.
-
-Two evaluators share one walk over the tree: ``eval_nf`` works through
-normal forms (the ring's own arithmetic), while ``eval_series`` evaluates
-the same expression directly in the completed DVR and serves as an
-independent cross-check.  They differ only in their leaves.
 """
 
 from __future__ import annotations
@@ -195,16 +190,14 @@ def _power(base, k: int):
     return out
 
 
-def _largest_bits(value) -> int:
+def _largest_bits(form: NormalForm) -> int:
     """The bit size of the largest numerator or denominator among the
-    coefficients of a normal form or a series (0 over F_p, where they stay
-    below p)."""
-    parts = (value.x, value.y) if isinstance(value, NormalForm) else (value,)
-    if parts[0].field.characteristic:
+    coefficients of a normal form (0 over F_p, where they stay below p)."""
+    if form.ring.field.characteristic:
         return 0
     return max(
         max(c.numerator.bit_length(), c.denominator.bit_length())
-        for part in parts
+        for part in (form.x, form.y)
         for c in part.coeffs
     )
 
@@ -213,14 +206,24 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": lambda left, right: left * right.invert()}
 
 
-def _evaluate(root, leaf):
-    """Fold a tree bottom-up, left to right, with ``leaf`` valuing Num, Atom
-    and Gen; an explicit stack keeps long chains off the Python stack."""
-    todo, values = [(root, False)], []
+def eval_nf(node, ring: AkizukiRing, level: int) -> NormalForm:
+    """Evaluate an AST to a normal form at the given level.
+
+    The tree is folded bottom-up, left to right; an explicit stack keeps
+    long chains off the Python stack."""
+    field = ring.field
+    todo, values = [(node, False)], []
     while todo:
         node, ready = todo.pop()
-        if isinstance(node, (Num, Atom, Gen)):
-            values.append(leaf(node))
+        if isinstance(node, Num):
+            values.append(ring.constant_nf(field.from_int(node.value), level))
+        elif isinstance(node, Gen):
+            values.append(ring.generator_nf(node.index, level))
+        elif isinstance(node, Atom) and node.name == "t":
+            t = TruncatedSeries.t_power(field, 1, level)
+            values.append(ring.nf(t, TruncatedSeries.zero(field, level)))
+        elif isinstance(node, Atom):
+            values.append(ring.w_nf(level))
         elif not isinstance(node, (Neg, Pow, BinOp)):
             raise TypeError(f"not an expression node: {node!r}")
         elif not ready:
@@ -233,43 +236,8 @@ def _evaluate(root, leaf):
             values.append(-values.pop())
         elif isinstance(node, Pow):
             base, k = values.pop(), node.exponent
-            values.append(_power(base, k) if k else leaf(Num(1)))
+            values.append(_power(base, k) if k else ring.one_nf(level))
         else:
             right = values.pop()
             values.append(_BINARY[node.op](values.pop(), right))
     return values[0]
-
-
-def eval_nf(node, ring: AkizukiRing, level: int) -> NormalForm:
-    """Evaluate an AST to a normal form at the given level."""
-    field = ring.field
-
-    def leaf(node):
-        if isinstance(node, Num):
-            return ring.constant_nf(field.from_int(node.value), level)
-        if isinstance(node, Gen):
-            return ring.generator_nf(node.index, level)
-        if node.name == "t":
-            return ring.nf(
-                TruncatedSeries.t_power(field, 1, level),
-                TruncatedSeries.zero(field, level),
-            )
-        return ring.w_nf(level)
-
-    return _evaluate(node, leaf)
-
-
-def eval_series(node, ring: AkizukiRing, level: int) -> TruncatedSeries:
-    """Evaluate an AST directly in the completed DVR, mod t^level."""
-    field = ring.field
-
-    def leaf(node):
-        if isinstance(node, Num):
-            return TruncatedSeries.constant(field, field.from_int(node.value), level)
-        if isinstance(node, Gen):
-            return ring.generator_series(node.index, level)
-        if node.name == "t":
-            return TruncatedSeries.t_power(field, 1, level)
-        return ring.w.truncate(level)
-
-    return _evaluate(node, leaf)

@@ -193,17 +193,6 @@ class AkizukiRing:
         y = (s_top - s_i).shift(1).scale(2).shift(-drop)
         return self.nf(x, y)
 
-    def generator_series(self, i: int, m: int) -> TruncatedSeries:
-        """g_i evaluated directly in the completed DVR: ((z - a_0 - s_i)/t^{n_i})^2.
-
-        An independent route used for cross-checks; subject to the same
-        headroom cap as generator_nf.
-        """
-        self._generator_drop(i, m)
-        n_i = self.exponents[i]
-        q = self.upper_sum_at(i, m + n_i).shift(-n_i)
-        return q * q
-
     def _generator_drop(self, i: int, m: int) -> int:
         """Check that g_i is representable at level m; return the headroom
         2 n_i + 2 its expansion consumes below the top rule 2 n_R + 2."""

@@ -228,15 +228,18 @@ def _generator_consistency(ring, rng):
     cap = 2 * ring.exponents[ring.top_index] + 2 - (2 * ring.exponents[i] + 2)
     m = rng.randint(1, min(cap, ring.precision))
     form = ring.generator_nf(i, m)
-    if form.embed() != ring.generator_series(i, m):
-        return f"g{i} normal form disagrees with its direct expansion at level {m}"
-    # A second route to the normal form: with a = t(z - a_0 - s_i) and
+    # With a = t(z - a_0 - s_i) = t^(n_i + 1)(z_i - a_i), the direct
+    # expansion of g_i in the completed DVR is a^2 / t^(2 n_i + 2); and with
     # ŵ = t(z - a_0), w - t s_i = a + (w - ŵ) squares to a^2 - 2 a ŵ + 2 a w,
-    # which is t^(2 n_i + 2) g_i at level m + 2 n_i + 2.
+    # which is t^(2 n_i + 2) g_i at level m + 2 n_i + 2: a second route to
+    # the normal form itself.
     drop = 2 * ring.exponents[i] + 2
     a = ring.upper_sum_at(i, m + drop).shift(1)
+    square = a * a
+    if form.embed() != square.shift(-drop):
+        return f"g{i} normal form disagrees with its direct expansion at level {m}"
     w_hat = ring.upper_sum_at(0, m + drop).shift(1)
-    x = (a * a - (a * w_hat).scale(2)).shift(-drop)
+    x = (square - (a * w_hat).scale(2)).shift(-drop)
     if (form.x, form.y) != (x, a.scale(2).shift(-drop)):
         return f"g{i} normal form disagrees with (w - t s_{i})^2 / t^{drop} at level {m}"
     return None

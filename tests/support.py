@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
-
 from akizuki import (
     AkizukiRing,
     CohomologyClass,
@@ -317,23 +315,12 @@ def rand_tree(rng, depth):
 # ----------------------------------------------------------------------
 # the law registry
 
-LAW_CASES = 40  # cases of each law on each ring in tier-1
+LAW_CASES = 40  # cases of each law on each ring in tier-1 (twice that on q and fp:101)
 
 
-def assert_laws(ring, *laws, seed=0, count=LAW_CASES):
+def assert_laws(ring, *laws, count=LAW_CASES):
     """Each registry law "suite.name" of ``akizuki.selftest`` holds on
-    ``count`` seeded cases over ``ring``."""
+    ``count`` cases at seed 0 over ``ring``."""
     for law in laws:
-        failure = selftest.check(ring, *law.split("."), seed, count)
+        failure = selftest.check(ring, *law.split("."), 0, count)
         assert failure is None, f"{law} over {ring.field}, case {failure[0]}: {failure[1]}"
-
-
-def law_test(*laws, rings=(RING_Q, RING_P101)):
-    """A test running registry laws on each ring at seed 1, so it adds
-    cases to those of tests/test_properties.py (seed 0)."""
-
-    @pytest.mark.parametrize("ring", rings, ids=lambda r: str(r.field))
-    def test(ring):
-        assert_laws(ring, *laws, seed=1)
-
-    return test

@@ -12,7 +12,6 @@ from akizuki import (
     NotInvertibleError,
     TruncatedSeries,
     eval_nf,
-    eval_series,
     parse_gf,
     parse_pair,
     parse_series,
@@ -78,14 +77,13 @@ def test_w_square_rewrite_golden():
 
 def test_generator_rewrite_golden():
     """g_0 at level 12 equals the frozen normal form, and all generator
-    normal forms embed to the direct DVR quotient squares."""
+    normal forms embed to the DVR quotient squares of a plain-list oracle."""
     g0 = RING_Q.generator_nf(0, 12)
     ok = g0.x == parse_series("-t^4 - 2*t^8", QQ, 12)
     ok = ok and g0.y == parse_series("2*t + 2*t^5", QQ, 12)
     for i, m in ((0, 12), (1, 12), (2, 8), (3, 2)):
         direct = TruncatedSeries(QQ, tuple(naive_gen(RING_Q, i, m)))
         ok = ok and RING_Q.generator_nf(i, m).embed() == direct
-        ok = ok and RING_Q.generator_series(i, m) == direct
     report("generator golden normal form + embedding oracle", ok)
 
 
@@ -147,8 +145,7 @@ def test_reduction_index_independence_100():
 
 def test_expression_evaluation_oracle_500():
     """500 random expression trees (depth <= 5): the normal-form route
-    embeds to the same DVR value as direct evaluation and as an
-    independent plain-list oracle."""
+    embeds to the same DVR value as an independent plain-list oracle."""
     rng = random.Random(110)
     level = 14
     ok = True
@@ -161,7 +158,6 @@ def test_expression_evaluation_oracle_500():
             # the random denominator lost its unit by cancellation: skip
             continue
         checked += 1
-        ok = ok and via_nf == eval_series(tree, RING_Q, level)
         via_lists = TruncatedSeries(QQ, tuple(naive_eval(tree, RING_Q, level)))
         ok = ok and via_nf == via_lists
         if not ok:

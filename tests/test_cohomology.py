@@ -10,7 +10,7 @@ from akizuki import (
     parse_gf,
     parse_series,
 )
-from support import RING_Q, law_test
+from support import RING_Q
 
 QQ = RationalField()
 
@@ -136,11 +136,3 @@ def test_addition_and_negation():
     assert total.numerator.y == S("t", 2)
     assert (total + (-total)).is_zero()
     assert (a + (-a)).is_zero()
-
-
-# the module laws: written once, in akizuki.selftest.SUITES
-
-test_addition_laws = law_test("cohomology.addition")
-test_action_is_bilinear = law_test("cohomology.bilinearity")
-test_action_is_associative = law_test("cohomology.action_compatible")
-test_raising_leaves_class_fixed = law_test("cohomology.raising_invariance")

@@ -10,7 +10,7 @@ from akizuki import (
     TruncatedSeries,
     parse_comp,
 )
-from support import RING_P2, RING_P101, RING_Q, assert_laws, law_test
+from support import RING_P2, RING_P101, RING_Q
 
 QQ = RationalField()
 N = RING_Q.precision
@@ -47,11 +47,7 @@ def test_x_squared_relation():
 
 
 # ----------------------------------------------------------------------
-# ring axioms and the embedding (laws written once, in akizuki.selftest)
-
-
-test_ring_axioms = law_test("completion.comp_axioms")
-test_embed_is_a_ring_hom = law_test("completion.embed_multiplicative")
+# the embedding
 
 
 def test_embed_requires_full_precision():
@@ -68,14 +64,6 @@ def test_embed_golden():
 
 # ----------------------------------------------------------------------
 # closed product vs composition of duality maps
-
-
-test_closed_equals_composed = law_test("completion.closed_vs_composed")
-
-
-def test_composition_with_nontrivial_unit():
-    """Relative to a unit e, composition computes a * e^{-1} * b."""
-    assert_laws(RING_Q, "completion.unit_composition", seed=1)
 
 
 def test_composition_rejects_bad_unit():

@@ -1,8 +1,8 @@
 """Every law of the registry ``akizuki.selftest.SUITES`` over q, fp:101 and
 fp:2 with minimal exponents and unit coefficients 1, and over two rings
-with explicit exponents and units; and the registry's own plumbing: the
-CLI names each law, and the random series reach the edge cases the laws
-need."""
+with explicit exponents and units, on twice the cases over q and fp:101;
+and the registry's own plumbing: the CLI names each law, and the random
+series reach the edge cases the laws need."""
 
 import random
 from collections import Counter
@@ -11,7 +11,7 @@ import pytest
 
 from akizuki import AkizukiRing, PrimeField, RationalField, selftest
 from akizuki.cli import main
-from support import RING_P2, RING_P101, RING_Q, assert_laws
+from support import LAW_CASES, RING_P2, RING_P101, RING_Q, assert_laws
 
 RING_P5_EXPLICIT = AkizukiRing(PrimeField(5), 9, exponents=(0, 3, 8), units=(2, 3, 4))
 RING_Q_EXPLICIT = AkizukiRing(
@@ -24,6 +24,7 @@ RINGS = {
     "fp:5-explicit": RING_P5_EXPLICIT,
     "q-explicit": RING_Q_EXPLICIT,
 }
+WIDE = (RING_Q, RING_P101)  # the rings that run 2 * LAW_CASES cases of each law
 
 LAWS = [f"{suite}.{name}" for suite, laws in selftest.SUITES.items() for name, _ in laws]
 
@@ -49,7 +50,7 @@ completion.unit_composition
 @pytest.mark.parametrize("ring", list(RINGS.values()), ids=list(RINGS))
 @pytest.mark.parametrize("law", LAWS)
 def test_law(law, ring):
-    assert_laws(ring, law)
+    assert_laws(ring, law, count=2 * LAW_CASES if ring in WIDE else LAW_CASES)
 
 
 def test_registry_holds_every_law():

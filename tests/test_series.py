@@ -14,7 +14,6 @@ from akizuki import (
     TruncatedSeries,
     parse_series,
 )
-from support import law_test
 
 QQ = RationalField()
 F101 = PrimeField(101)
@@ -110,19 +109,6 @@ def test_tail_numerator_roundtrip():
     assert tail.numerator(3).principal_part(3) == tail
     with pytest.raises(PrecisionError):
         tail.numerator(2)
-
-
-# ----------------------------------------------------------------------
-# algebraic laws: written once, in akizuki.selftest.SUITES
-
-
-test_ring_axioms = law_test("series.ring_axioms")
-test_inverse_law = law_test("series.inverse")
-test_shift_promote_inverse = law_test("series.shift")
-test_tail_representative_stability = law_test("series.tail_stability")
-test_tail_vanishing_criterion = law_test("series.tail_vanishing")
-test_tail_a_linearity = law_test("series.tail_linearity")
-test_tail_addition_canonical = law_test("series.tail_addition")
 
 
 def test_prime_field_reduction():
