@@ -161,8 +161,9 @@ def extract_pair(
     """Recover the (sigma, rho) window of a purported duality map.
 
     Every C_M-linear map from cohomology classes to continuous homs is the
-    forward map of some pair; probing with gf(1; 0; level) reads sigma off
-    the value at 1 and rho off the value at w, both mod t^level.
+    forward map of some pair; probing with gf(1; 0; level) gives the hom
+    whose values at 1 and w are sigma and rho, so its two numerators over
+    t^level are the pair's window mod t^level.
     """
     if not 1 <= level <= ring.precision:
         raise PrecisionError(f"probe level {level} outside 1..{ring.precision}")
@@ -175,9 +176,7 @@ def extract_pair(
             f"inconsistent blackbox: returned level {hom.level} above probe "
             f"level {level}"
         )
-    sigma = hom(ring.one_nf(level)).numerator(level)
-    rho = hom(ring.w_nf(level)).numerator(level)
-    return ResiduePair(ring, sigma, rho)
+    return ResiduePair(ring, *hom.raised(level))
 
 
 class CompletionElement(SeriesPair):

@@ -142,10 +142,6 @@ class AkizukiRing:
         """The largest materialized tail index R."""
         return len(self.exponents) - 1
 
-    def upper_sum_at(self, i: int, precision: int) -> TruncatedSeries:
-        """z - a_0 - s_i rebuilt in a window of the given width."""
-        return self._terms(i + 1, len(self.exponents), precision)
-
     def t_partial_sum(self, m: int) -> TruncatedSeries:
         """ŵ = t (z - a_0) mod t^m: the coefficient of the square-zero
         relation (w - ŵ)^2 = 0 at level m, equal to t s_r mod t^m for every
@@ -267,8 +263,8 @@ class NormalForm(SeriesPair):
 
     def embed(self) -> TruncatedSeries:
         """The image x + y * t(z - a_0) in the completed DVR, mod t^level
-        (one kernel call: x - y * (-w), with the ring's sparse -w)."""
-        return fused((1, self.x), (-1, self.y, self.ring.neg_w))
+        (one kernel call: x + y * w, with the ring's sparse w)."""
+        return fused((1, self.x), (1, self.y, self.ring.w_terms))
 
     def __str__(self) -> str:
         return f"({self.x}) + ({self.y})*w mod t^{self.level}"

@@ -234,11 +234,11 @@ def _generator_consistency(ring, rng):
     # which is t^(2 n_i + 2) g_i at level m + 2 n_i + 2: a second route to
     # the normal form itself.
     drop = 2 * ring.exponents[i] + 2
-    a = ring.upper_sum_at(i, m + drop).shift(1)
+    a = ring._terms(i + 1, len(ring.exponents), m + drop).shift(1)
     square = a * a
     if form.embed() != square.shift(-drop):
         return f"g{i} normal form disagrees with its direct expansion at level {m}"
-    w_hat = ring.upper_sum_at(0, m + drop).shift(1)
+    w_hat = ring._terms(1, len(ring.exponents), m + drop).shift(1)
     x = (square - (a * w_hat).scale(2)).shift(-drop)
     if (form.x, form.y) != (x, a.scale(2).shift(-drop)):
         return f"g{i} normal form disagrees with (w - t s_{i})^2 / t^{drop} at level {m}"

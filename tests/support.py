@@ -23,6 +23,7 @@ from akizuki import (
     selftest,
 )
 from akizuki.expressions import Atom, BinOp, Gen, Neg, Num, Pow
+from akizuki.series import Terms
 
 RING_Q = AkizukiRing(RationalField(), 31)
 RING_P101 = AkizukiRing(PrimeField(101), 31)
@@ -64,6 +65,29 @@ def naive_inv(a, field, n):
         acc = sum(a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1))
         out.append(field_value(field, -acc * lead))
     return out
+
+
+def naive_sum(field, n, terms):
+    """The low n coefficients of the sum of the terms (sign, a) = sign a and
+    (sign, a, b) = sign a b, as the fused kernel takes them: a is a list or
+    a series, and b a list, a series, None (the series 1) or ``Terms``
+    (sparse (exponent, coefficient) pairs)."""
+    acc = [0] * n
+    for sign, a, *b in terms:
+        b = b[0] if b else None
+        if b is None:
+            b = [1]
+        elif isinstance(b, Terms):
+            sparse = dict(b)
+            b = [sparse.get(e, 0) for e in range(n)]
+        prod = naive_mul(_coeffs(a), _coeffs(b), field, n)
+        acc = [o + sign * v for o, v in zip(acc, prod)]
+    return [field_value(field, v) for v in acc]
+
+
+def _coeffs(a):
+    """The coefficients of a series, or a plain list as it is."""
+    return a.coeffs if isinstance(a, TruncatedSeries) else a
 
 
 def naive_w(ring, m):
@@ -119,13 +143,23 @@ def naive_eval(node, ring, m):
     return naive_mul(left, naive_inv(right, field, m), field, m)
 
 
+def lists(*series):
+    """The coefficient lists of series."""
+    return [list(s.coeffs) for s in series]
+
+
+def raised(field, coeffs, n):
+    """A numerator list over t^m rewritten over t^n."""
+    return [field.zero()] * (n - len(coeffs)) + list(coeffs)
+
+
 # ----------------------------------------------------------------------
 # the closed pair formulas, on plain lists: w^2 = 2uw - u^2 for normal forms,
 # the 2x2 transition matrix of the duality map, and X^2 = -2wX - w^2 for the
 # completion.  Differential oracles for the square-zero kernel in the package.
 
 
-def _lin(field, *terms):
+def lin(field, *terms):
     """sum of c * a over (c, a) pairs of an int scalar and a list."""
     scalars = [c for c, _ in terms]
     columns = zip(*(a for _, a in terms))
@@ -147,6 +181,15 @@ def naive_u(ring, m, r):
     return out
 
 
+def closed_u(ring, m):
+    """The one coefficient u of the closed formulas at level m: t s_r mod t^m
+    is the same list for every admissible r, and equals ŵ mod t^m."""
+    w = naive_w(ring, m)
+    for r in admissible(ring, m):
+        assert naive_u(ring, m, r) == w, (m, r)
+    return w
+
+
 def naive_gen_nf(ring, i, m):
     """g_i as the normal form (x, y) at level m, on plain lists.  With
     u = t s_R and d = u - t s_i, (w - u)^2 = 0 at level m + 2 n_i + 2 gives
@@ -156,9 +199,9 @@ def naive_gen_nf(ring, i, m):
     drop = 2 * ring.exponents[i] + 2
     need = m + drop
     u = naive_w(ring, need)
-    d = _lin(field, (1, u), (-1, naive_u(ring, need, i)))
-    x = _lin(field, (1, naive_mul(d, d, field, need)), (-2, naive_mul(d, u, field, need)))
-    y = _lin(field, (2, d))
+    d = lin(field, (1, u), (-1, naive_u(ring, need, i)))
+    x = lin(field, (1, naive_mul(d, d, field, need)), (-2, naive_mul(d, u, field, need)))
+    y = lin(field, (2, d))
     assert not any(x[:drop]) and not any(y[:drop])
     return x[drop:], y[drop:]
 
@@ -167,10 +210,10 @@ def naive_nf_mul(x1, y1, x2, y2, u, field):
     """(x1 + y1 w)(x2 + y2 w) with w^2 = 2 u w - u^2."""
     n = len(x1)
     yy = naive_mul(y1, y2, field, n)
-    x = _lin(field, (1, naive_mul(x1, x2, field, n)),
-             (-1, naive_mul(yy, naive_mul(u, u, field, n), field, n)))
-    y = _lin(field, (1, naive_mul(x1, y2, field, n)), (1, naive_mul(x2, y1, field, n)),
-             (2, naive_mul(yy, u, field, n)))
+    x = lin(field, (1, naive_mul(x1, x2, field, n)),
+            (-1, naive_mul(yy, naive_mul(u, u, field, n), field, n)))
+    y = lin(field, (1, naive_mul(x1, y2, field, n)), (1, naive_mul(x2, y1, field, n)),
+            (2, naive_mul(yy, u, field, n)))
     return x, y
 
 
@@ -178,19 +221,19 @@ def naive_nf_inv(x, y, u, field):
     """(x + 2 y u - y w) / (x + y u)^2."""
     n = len(x)
     yu = naive_mul(y, u, field, n)
-    d = _lin(field, (1, x), (1, yu))
+    d = lin(field, (1, x), (1, yu))
     e = naive_inv(naive_mul(d, d, field, n), field, n)
-    return (naive_mul(_lin(field, (1, x), (2, yu)), e, field, n),
-            naive_mul(_lin(field, (-1, y)), e, field, n))
+    return (naive_mul(lin(field, (1, x), (2, yu)), e, field, n),
+            naive_mul(lin(field, (-1, y)), e, field, n))
 
 
 def naive_forward(x, y, sigma, rho, u, field):
     """alpha = x sigma + y rho, beta = x rho + y (2 u rho - u^2 sigma)."""
     n = len(x)
     uu = naive_mul(u, u, field, n)
-    alpha = _lin(field, (1, naive_mul(x, sigma, field, n)), (1, naive_mul(y, rho, field, n)))
-    inner = _lin(field, (2, naive_mul(u, rho, field, n)), (-1, naive_mul(uu, sigma, field, n)))
-    beta = _lin(field, (1, naive_mul(x, rho, field, n)), (1, naive_mul(y, inner, field, n)))
+    alpha = lin(field, (1, naive_mul(x, sigma, field, n)), (1, naive_mul(y, rho, field, n)))
+    inner = lin(field, (2, naive_mul(u, rho, field, n)), (-1, naive_mul(uu, sigma, field, n)))
+    beta = lin(field, (1, naive_mul(x, rho, field, n)), (1, naive_mul(y, inner, field, n)))
     return alpha, beta
 
 
@@ -199,12 +242,12 @@ def naive_duality_inverse(alpha, beta, sigma, rho, u, field):
     x = (alpha u (sigma u - 2 rho) + beta rho) / d^2,
     y = (alpha rho - beta sigma) / d^2."""
     n = len(alpha)
-    d = _lin(field, (1, rho), (-1, naive_mul(u, sigma, field, n)))
+    d = lin(field, (1, rho), (-1, naive_mul(u, sigma, field, n)))
     e = naive_inv(naive_mul(d, d, field, n), field, n)
-    su = _lin(field, (1, naive_mul(sigma, u, field, n)), (-2, rho))
-    x = _lin(field, (1, naive_mul(naive_mul(alpha, u, field, n), su, field, n)),
-             (1, naive_mul(beta, rho, field, n)))
-    y = _lin(field, (1, naive_mul(alpha, rho, field, n)), (-1, naive_mul(beta, sigma, field, n)))
+    su = lin(field, (1, naive_mul(sigma, u, field, n)), (-2, rho))
+    x = lin(field, (1, naive_mul(naive_mul(alpha, u, field, n), su, field, n)),
+            (1, naive_mul(beta, rho, field, n)))
+    y = lin(field, (1, naive_mul(alpha, rho, field, n)), (-1, naive_mul(beta, sigma, field, n)))
     return naive_mul(x, e, field, n), naive_mul(y, e, field, n)
 
 
@@ -212,10 +255,10 @@ def naive_comp_mul(r1, s1, r2, s2, w, field):
     """(r1 + s1 X)(r2 + s2 X) with X^2 = -2 w X - w^2."""
     n = len(r1)
     ss = naive_mul(s1, s2, field, n)
-    rho = _lin(field, (1, naive_mul(r1, r2, field, n)),
-               (-1, naive_mul(ss, naive_mul(w, w, field, n), field, n)))
-    sigma = _lin(field, (1, naive_mul(s1, r2, field, n)), (1, naive_mul(s2, r1, field, n)),
-                 (-2, naive_mul(ss, w, field, n)))
+    rho = lin(field, (1, naive_mul(r1, r2, field, n)),
+              (-1, naive_mul(ss, naive_mul(w, w, field, n), field, n)))
+    sigma = lin(field, (1, naive_mul(s1, r2, field, n)), (1, naive_mul(s2, r1, field, n)),
+                (-2, naive_mul(ss, w, field, n)))
     return rho, sigma
 
 
@@ -242,6 +285,25 @@ def rand_series(rng, field, precision, unit=False):
     coeffs = [rand_elem(rng, field) for _ in range(precision)]
     if unit:
         coeffs[0] = rand_elem(rng, field, nonzero=True)
+    return TruncatedSeries(field, tuple(coeffs))
+
+
+def rand_coeff(rng, field, nonzero=False):
+    """A field value for the kernel suites; over q, numerators of either sign
+    over one of several unrelated small denominators."""
+    if field.characteristic == 0:
+        value = Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 7, 11, 13)))
+        return value or Fraction(1) if nonzero else value
+    p = field.characteristic
+    return rng.randrange(1, p) if nonzero else rng.randrange(p)
+
+
+def rand_dense(rng, field, n, unit=False):
+    """A series of n ``rand_coeff`` values, with a nonzero constant term if
+    ``unit``."""
+    coeffs = [rand_coeff(rng, field) for _ in range(n)]
+    if unit:
+        coeffs[0] = rand_coeff(rng, field, nonzero=True)
     return TruncatedSeries(field, tuple(coeffs))
 
 

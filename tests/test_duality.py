@@ -21,10 +21,10 @@ from akizuki import (
 )
 from support import (
     RING_Q,
-    admissible,
+    closed_u,
+    lists,
     naive_duality_inverse,
     naive_forward,
-    naive_u,
     rand_pair,
     rand_series,
 )
@@ -148,26 +148,22 @@ def test_inverse_needs_unit_rho():
 
 
 # ----------------------------------------------------------------------
-# r-independence of the closed formulas
+# the closed formulas at every level
 
 
-def test_forward_r_independent():
+def test_forward_and_inverse_match_closed_formulas_at_every_level():
     """At every level, forward and inverse are the closed formulas with
-    u = t s_r, for every admissible r."""
+    u = ŵ, which is t s_r for every admissible r."""
     rng = random.Random("r-independent")
     pair = rand_pair(rng, RING_Q)
     for n in range(1, RING_Q.precision + 1):
         x, y, alpha, beta = (rand_series(rng, QQ, n) for _ in range(4))
         fwd = pair.forward(CohomologyClass.make(RING_Q.nf(x, y), n))
         back = pair.inverse(ContinuousHom.make(RING_Q, alpha, beta))
-        got = [list(s.coeffs) for s in fwd.raised(n) + back.raised(n)]
-        sig, rho = pair.sigma.truncate(n), pair.rho.truncate(n)
-        x, y, alpha, beta, sig, rho = (list(s.coeffs) for s in (x, y, alpha, beta, sig, rho))
-        for r in admissible(RING_Q, n):
-            u = naive_u(RING_Q, n, r)
-            want = naive_forward(x, y, sig, rho, u, QQ)
-            want += naive_duality_inverse(alpha, beta, sig, rho, u, QQ)
-            assert got == list(want), (n, r)
+        x, y, alpha, beta, sig, rho = lists(x, y, alpha, beta, pair.sigma.truncate(n), pair.rho.truncate(n))
+        u = closed_u(RING_Q, n)
+        want = naive_forward(x, y, sig, rho, u, QQ) + naive_duality_inverse(alpha, beta, sig, rho, u, QQ)
+        assert lists(*fwd.raised(n), *back.raised(n)) == list(want), n
 
 
 # ----------------------------------------------------------------------
@@ -184,3 +180,16 @@ def test_extract_rejects_bad_blackbox():
         extract_pair(RING_Q, lambda omega: 17, 3)
     with pytest.raises(PrecisionError):
         extract_pair(RING_Q, P("pair(1;1)").forward, 0)
+
+
+def test_extract_reads_homs_below_the_probe_level():
+    """pair(t^2;t^3) sends the probe gf(1;0;5) to a hom of level 3, and
+    pair(0;0) sends gf(1;0;4) to the zero hom; each pair comes back from
+    that hom's numerators raised over t^level."""
+    for text, level in (("pair(t^2;t^3)", 5), ("pair(0;0)", 4)):
+        pair = P(text)
+        probe = CohomologyClass.make(RING_Q.one_nf(level), level)
+        assert pair.forward(probe).level < level
+        got = extract_pair(RING_Q, pair.forward, level)
+        assert got == pair.truncated(level) and got.precision == level
+        assert str(got) == text

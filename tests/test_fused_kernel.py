@@ -2,15 +2,18 @@
 
 ``series._window_mul`` returns the low coefficients of a whole sum of terms
 +-a*b, +-a and +-a*c for a sparse c, with one unpack and one reduction per
-result.  The dual-number helpers, the duality maps, hom evaluation and the
-two completion products make one kernel call per series.  Each is checked
-here against the closed formulas on plain lists in ``support``: at N = 511
-over fp:2, fp:101 and fp:2147483647 and at N = 127 over q, with u = t s_r
-for every admissible r in the closed formulas, at levels 1 to 3 (where u
-has no term inside the window), with zero operands, over a prime above
-2^32 (slots of more than 8 bytes) and on the byte boundary where one
-product fits a slot but a sum of two needs one more byte.  A spy on the
-packed integers shows that sparse terms make no bignum product.
+result.  Normal-form products and inverses, the duality maps, hom
+evaluation and the two completion products all run on it.  Each is checked
+here against the closed pair formulas on plain lists in ``support``, with
+u = ŵ (``support.closed_u``, which also checks that t s_r = ŵ for every
+admissible r): at full width N = 511 over fp:2, fp:101 and fp:2147483647,
+N = 255 over fp:2 and fp:101 and N = 127 over q; below full width at
+levels 1 to 3 (where ŵ has no term inside the window), at level 20 (where
+several r are admissible) and at random levels; with zero operands, over a
+prime above 2^32 (slots of more than 8 bytes) and on the byte boundary
+where one product fits a slot but a sum of two needs one more byte.  A spy
+on the packed integers shows that sparse terms make no bignum product.  The
+component check shared by the four two-series types is tested last.
 """
 
 import random
@@ -24,23 +27,32 @@ from akizuki import (
     CohomologyClass,
     CompletionElement,
     ContinuousHom,
+    NormalForm,
+    PrecisionError,
     PrimeField,
     RationalField,
     ResiduePair,
     TruncatedSeries,
 )
-from akizuki.series import Terms, _window_mul, dual_invert, dual_mul
+from akizuki.series import Terms, _window_mul
 from support import (
+    RING_Q,
     admissible,
-    field_value,
+    closed_u,
+    lin,
+    lists,
     naive_comp_mul,
     naive_duality_inverse,
     naive_forward,
     naive_mul,
     naive_nf_inv,
     naive_nf_mul,
-    naive_u,
+    naive_sum,
     naive_w,
+    raised,
+    rand_coeff,
+    rand_dense,
+    rand_series,
 )
 
 QQ = RationalField()
@@ -48,36 +60,12 @@ RINGS = {
     "fp2-511": AkizukiRing(PrimeField(2), 511),
     "fp101-511": AkizukiRing(PrimeField(101), 511),
     "m31-511": AkizukiRing(PrimeField(2147483647), 511),
+    "fp2-255": AkizukiRing(PrimeField(2), 255),
+    "fp101-255": AkizukiRing(PrimeField(101), 255),
     "q-127": AkizukiRing(QQ, 127),
 }
 # the least prime above 2^32: product slots are wider than 8 bytes
 WIDE = AkizukiRing(PrimeField(4294967311), 64)
-
-
-def coeff(rng, field, nonzero=False):
-    """A field value; over q, numerators of either sign over one of several
-    unrelated small denominators."""
-    if field.characteristic == 0:
-        value = Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 7, 11, 13)))
-        return value or Fraction(1) if nonzero else value
-    p = field.characteristic
-    return rng.randrange(1, p) if nonzero else rng.randrange(p)
-
-
-def series(rng, field, n, unit=False):
-    coeffs = [coeff(rng, field) for _ in range(n)]
-    if unit:
-        coeffs[0] = coeff(rng, field, nonzero=True)
-    return TruncatedSeries(field, tuple(coeffs))
-
-
-def lists(*values):
-    return [list(s.coeffs) for s in values]
-
-
-def raised(field, coeffs, n):
-    """A numerator list over t^m rewritten over t^n."""
-    return [field.zero()] * (n - len(coeffs)) + list(coeffs)
 
 
 def tail_list(tail, n):
@@ -85,48 +73,41 @@ def tail_list(tail, n):
     return list(tail.numerator(n).coeffs)
 
 
-def lin(field, *terms):
-    """sum of sign * a over (sign, a) pairs of plain lists."""
-    out = [0] * len(terms[0][1])
-    for sign, a in terms:
-        out = [o + sign * v for o, v in zip(out, a)]
-    return [field_value(field, v) for v in out]
-
-
 # ----------------------------------------------------------------------
-# the layers at full width
+# the layers
 
 
-def check_nf(ring, f, g, r):
+def check_nf(ring, f, g):
     field, m = ring.field, f.level
-    u = naive_u(ring, m, ring.top_index if r is None else r)
+    u = closed_u(ring, m)
     got = f * g
     assert lists(got.x, got.y) == list(naive_nf_mul(*lists(f.x, f.y, g.x, g.y), u, field))
-    assert lists(*dual_mul(f.x, f.y, g.x, g.y, ring.w_terms)) == lists(got.x, got.y)
     if f.is_unit():
         inv = f.invert()
         assert lists(inv.x, inv.y) == list(naive_nf_inv(*lists(f.x, f.y), u, field))
-        assert lists(*dual_invert(f.x, f.y, ring.w_terms)) == lists(inv.x, inv.y)
 
 
-def check_duality(ring, pair, omega_nf, hom, r):
+def check_duality(ring, pair, omega_nf, hom):
+    """The residue, forward and inverse maps of an invertible pair at the
+    level n of ``omega_nf``, and ``hom`` at level n or below it.  Results
+    come back canonical, with common factors of t dropped; raised back over
+    t^n they are the oracles' representatives."""
     field, n = ring.field, omega_nf.level
     omega = CohomologyClass.make(omega_nf, n)
     sig, rho = lists(pair.sigma.truncate(n), pair.rho.truncate(n))
     x, y = lists(omega_nf.x, omega_nf.y)
-    alpha, beta = raised(field, hom.alpha.coeffs, n), raised(field, hom.beta.coeffs, n)
-    u = naive_u(ring, n, ring.top_index if r is None else r)
+    alpha, beta = (raised(field, c, n) for c in lists(hom.alpha, hom.beta))
+    u = closed_u(ring, n)
     want = lin(field, (1, naive_mul(x, sig, field, n)), (1, naive_mul(y, rho, field, n)))
     assert tail_list(pair.residue(omega), n) == want
     fwd = pair.forward(omega)
     assert [raised(field, c, n) for c in lists(fwd.alpha, fwd.beta)] == list(
         naive_forward(x, y, sig, rho, u, field)
     )
-    if pair.is_invertible() and hom.level == n:
-        back = pair.inverse(hom).numerator
-        assert [raised(field, c, n) for c in lists(back.x, back.y)] == list(
-            naive_duality_inverse(alpha, beta, sig, rho, u, field)
-        )
+    back = pair.inverse(hom).numerator
+    assert [raised(field, c, n) for c in lists(back.x, back.y)] == list(
+        naive_duality_inverse(alpha, beta, sig, rho, u, field)
+    )
 
 
 def check_hom(ring, hom, f):
@@ -152,53 +133,38 @@ def test_every_layer_at_full_width(name):
     ring = RINGS[name]
     field, top = ring.field, ring.precision
     rng = random.Random(f"fused:{name}")
-    f = ring.nf(series(rng, field, top, unit=True), series(rng, field, top))
-    g = ring.nf(series(rng, field, top), series(rng, field, top))
-    check_nf(ring, f, g, None)
-    pair = ResiduePair(ring, series(rng, field, top), series(rng, field, top, unit=True))
-    hom = ContinuousHom(ring, series(rng, field, top), series(rng, field, top, unit=True))
-    check_duality(ring, pair, ring.nf(series(rng, field, top), series(rng, field, top)), hom, None)
+    f = ring.nf(rand_dense(rng, field, top, unit=True), rand_dense(rng, field, top))
+    g = ring.nf(rand_dense(rng, field, top), rand_dense(rng, field, top))
+    check_nf(ring, f, g)
+    pair = ResiduePair(ring, rand_dense(rng, field, top), rand_dense(rng, field, top, unit=True))
+    hom = ContinuousHom(ring, rand_dense(rng, field, top), rand_dense(rng, field, top, unit=True))
+    check_duality(ring, pair, ring.nf(rand_dense(rng, field, top), rand_dense(rng, field, top)), hom)
     check_hom(ring, hom, g)
-    a = CompletionElement(ring, series(rng, field, top), series(rng, field, top))
-    b = CompletionElement(ring, series(rng, field, top), series(rng, field, top))
+    a = CompletionElement(ring, rand_dense(rng, field, top), rand_dense(rng, field, top))
+    b = CompletionElement(ring, rand_dense(rng, field, top), rand_dense(rng, field, top))
     check_completion(ring, a, b)
-    full = ring.nf(series(rng, field, top), series(rng, field, top))
+    full = ring.nf(rand_dense(rng, field, top), rand_dense(rng, field, top))
     embedded = CompletionElement.embed(full)
     want = lin(field, (1, list(full.x.coeffs)), (1, naive_mul(list(full.y.coeffs), naive_w(ring, top), field, top)))
     assert list(embedded.rho.coeffs) == want and embedded.sigma.is_zero()
 
 
-@pytest.mark.parametrize("name", ["fp101-511", "q-127"])
-def test_every_admissible_reduction_index(name):
+@pytest.mark.parametrize("name", RINGS)
+def test_every_layer_below_full_width(name):
+    """Levels 1 to 3, where ŵ has no term inside the window; level 20,
+    where r = 3 .. R are admissible; and two random levels up to N / 2,
+    with random homs, some of which drop to a lower level."""
     ring = RINGS[name]
-    field = ring.field
-    rng = random.Random(f"indices:{name}")
-    m = 20  # admits r = 3 .. R
-    assert len(admissible(ring, m)) >= 3
-    f = ring.nf(series(rng, field, m, unit=True), series(rng, field, m))
-    g = ring.nf(series(rng, field, m), series(rng, field, m))
-    pair = ResiduePair(ring, series(rng, field, ring.precision), series(rng, field, ring.precision, unit=True))
-    omega_nf = ring.nf(series(rng, field, m), series(rng, field, m))
-    hom = ContinuousHom(ring, series(rng, field, m), series(rng, field, m, unit=True))
-    for r in admissible(ring, m):
-        check_nf(ring, f, g, r)
-        check_duality(ring, pair, omega_nf, hom, r)
-
-
-@pytest.mark.parametrize("name", ["fp101-511", "q-127"])
-def test_levels_where_u_has_no_term_in_the_window(name):
-    ring = RINGS[name]
-    field = ring.field
-    rng = random.Random(f"low:{name}")
-    pair = ResiduePair(ring, series(rng, field, ring.precision), series(rng, field, ring.precision, unit=True))
-    for m in (1, 2, 3):
-        assert naive_w(ring, m) == [field.zero()] * m
-        f = ring.nf(series(rng, field, m, unit=True), series(rng, field, m))
-        g = ring.nf(series(rng, field, m), series(rng, field, m))
-        hom = ContinuousHom(ring, series(rng, field, m), series(rng, field, m, unit=True))
-        for r in admissible(ring, m):
-            check_nf(ring, f, g, r)
-            check_duality(ring, pair, ring.nf(series(rng, field, m), series(rng, field, m)), hom, r)
+    field, top = ring.field, ring.precision
+    rng = random.Random(f"below:{name}")
+    assert not any(closed_u(ring, 3)) and len(admissible(ring, 20)) >= 3
+    pair = ResiduePair(ring, rand_dense(rng, field, top), rand_dense(rng, field, top, unit=True))
+    for m in (1, 2, 3, 20, rng.randint(2, top // 2), rng.randint(2, top // 2)):
+        f = ring.nf(rand_dense(rng, field, m, unit=True), rand_dense(rng, field, m))
+        g = ring.nf(rand_dense(rng, field, m), rand_dense(rng, field, m))
+        hom = ContinuousHom(ring, rand_dense(rng, field, m), rand_dense(rng, field, m))
+        check_nf(ring, f, g)
+        check_duality(ring, pair, ring.nf(rand_dense(rng, field, m), rand_dense(rng, field, m)), hom)
         check_hom(ring, hom, g)
 
 
@@ -208,15 +174,15 @@ def test_zero_operands(name):
     field, top = ring.field, ring.precision
     rng = random.Random(f"zero:{name}")
     zero = TruncatedSeries.zero(field, top)
-    dense = series(rng, field, top, unit=True)
+    dense = rand_dense(rng, field, top, unit=True)
     for x1, y1, x2, y2 in ((zero, zero, dense, dense), (dense, zero, zero, dense), (zero,) * 4):
-        check_nf(ring, ring.nf(x1, y1), ring.nf(x2, y2), None)
+        check_nf(ring, ring.nf(x1, y1), ring.nf(x2, y2))
         check_completion(ring, CompletionElement(ring, x1, y1), CompletionElement(ring, x2, y2), composed=False)
-    check_nf(ring, ring.nf(dense, zero), ring.nf(zero, zero), None)  # a unit times zero
+    check_nf(ring, ring.nf(dense, zero), ring.nf(zero, zero))  # a unit times zero
     pair = ResiduePair(ring, zero, dense)
     hom = ContinuousHom(ring, zero, dense)
-    check_duality(ring, pair, ring.nf(zero, zero), hom, None)
-    check_duality(ring, pair, ring.nf(dense, zero), ContinuousHom(ring, dense, dense), None)
+    check_duality(ring, pair, ring.nf(zero, zero), hom)
+    check_duality(ring, pair, ring.nf(dense, zero), ContinuousHom(ring, dense, dense))
     check_hom(ring, ContinuousHom(ring, zero, zero), ring.nf(dense, dense))
 
 
@@ -224,35 +190,22 @@ def test_zero_operands(name):
 # slot widths
 
 
-@pytest.fixture
-def slot_sizes(monkeypatch):
-    """The slot width in bytes of every operand the kernel packs."""
-    seen, pack = [], akizuki.series._pack
-
-    def spy(ints, size, half):
-        seen.append(size)
-        return pack(ints, size, half)
-
-    monkeypatch.setattr(akizuki.series, "_pack", spy)
-    return seen
-
-
-def test_prime_above_2_to_the_32_takes_the_per_value_path(slot_sizes):
+def test_prime_above_2_to_the_32_takes_the_per_value_path(packs):
     ring = WIDE
     field, top = ring.field, ring.precision
     rng = random.Random("wide")
-    f = ring.nf(series(rng, field, top, unit=True), series(rng, field, top))
-    g = ring.nf(series(rng, field, top), series(rng, field, top))
-    check_nf(ring, f, g, None)
-    pair = ResiduePair(ring, series(rng, field, top), series(rng, field, top, unit=True))
-    hom = ContinuousHom(ring, series(rng, field, top), series(rng, field, top, unit=True))
-    check_duality(ring, pair, ring.nf(series(rng, field, top), series(rng, field, top)), hom, None)
-    a = CompletionElement(ring, series(rng, field, top), series(rng, field, top))
+    f = ring.nf(rand_dense(rng, field, top, unit=True), rand_dense(rng, field, top))
+    g = ring.nf(rand_dense(rng, field, top), rand_dense(rng, field, top))
+    check_nf(ring, f, g)
+    pair = ResiduePair(ring, rand_dense(rng, field, top), rand_dense(rng, field, top, unit=True))
+    hom = ContinuousHom(ring, rand_dense(rng, field, top), rand_dense(rng, field, top, unit=True))
+    check_duality(ring, pair, ring.nf(rand_dense(rng, field, top), rand_dense(rng, field, top)), hom)
+    a = CompletionElement(ring, rand_dense(rng, field, top), rand_dense(rng, field, top))
     check_completion(ring, a, a)
-    assert max(slot_sizes) > 8
+    assert max(size for size, _ in packs) > 8
 
 
-def test_sum_of_two_products_needs_one_more_byte(slot_sizes):
+def test_sum_of_two_products_needs_one_more_byte(packs):
     """With every coefficient p - 1 = 250 at N = 200 one product's
     coefficients reach 250^2 * 200 = 12.5e6 < 2^24 (3-byte slots), and a
     sum of two reaches 25e6 (4 bytes)."""
@@ -260,19 +213,19 @@ def test_sum_of_two_products_needs_one_more_byte(slot_sizes):
     full = [250] * n
     assert (250**2 * n).bit_length() == 24 and (2 * 250**2 * n).bit_length() == 25
     one = _window_mul(field, n, ((1, full, full),))
-    assert one == naive_mul(full, full, field, n) and slot_sizes == [3]
-    slot_sizes.clear()
+    assert one == naive_mul(full, full, field, n) and packs == [(3, False)]
+    packs.clear()
     two = _window_mul(field, n, ((1, full, full), (1, full, full)))
-    assert two == lin(field, (1, one), (1, one)) and slot_sizes == [4]
-    slot_sizes.clear()
+    assert two == lin(field, (1, one), (1, one)) and packs == [(4, False)]
+    packs.clear()
     diff = _window_mul(field, n, ((1, full, full), (-1, full, full)))
-    assert diff == [0] * n and slot_sizes == [4]
+    assert diff == [0] * n and packs == [(4, False)]
     # the same boundary through the dual-number product: b = a1 y2 + a2 y1
     ring = AkizukiRing(field, n)
     top = TruncatedSeries(field, tuple(full))
-    slot_sizes.clear()
-    check_nf(ring, ring.nf(top, top), ring.nf(top, top), None)
-    assert 4 in slot_sizes
+    packs.clear()
+    check_nf(ring, ring.nf(top, top), ring.nf(top, top))
+    assert (4, False) in packs
     check_completion(ring, CompletionElement(ring, top, top), CompletionElement(ring, top, top), composed=False)
 
 
@@ -284,33 +237,16 @@ def random_terms(rng, field, n):
     terms = []
     for _ in range(rng.randint(1, 4)):
         sign = rng.choice((1, -1))
-        a = [coeff(rng, field) for _ in range(rng.randint(1, n))]
+        a = [rand_coeff(rng, field) for _ in range(rng.randint(1, n))]
         kind = rng.randrange(3)
         if kind == 0:
             terms.append((sign, a, None))
         elif kind == 1:
-            terms.append((sign, a, [coeff(rng, field) for _ in range(rng.randint(1, n))]))
+            terms.append((sign, a, [rand_coeff(rng, field) for _ in range(rng.randint(1, n))]))
         else:
             exps = sorted(rng.sample(range(2 * n), rng.randint(0, min(4, 2 * n))))
-            terms.append((sign, a, Terms((e, coeff(rng, field, nonzero=True)) for e in exps)))
+            terms.append((sign, a, Terms((e, rand_coeff(rng, field, nonzero=True)) for e in exps)))
     return terms
-
-
-def naive_sum(field, n, terms):
-    out = [field.zero()] * n
-    for sign, a, b in terms:
-        if b is None:
-            value = (list(a) + [field.zero()] * n)[:n]
-        else:
-            if isinstance(b, Terms):
-                dense = [field.zero()] * n
-                for e, c in b:
-                    if e < n:
-                        dense[e] = c
-                b = dense
-            value = naive_mul(list(a), list(b), field, n)
-        out = lin(field, (1, out), (sign, value))
-    return out
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101), PrimeField(4294967311)], ids=str)
@@ -386,16 +322,38 @@ def big_products(monkeypatch):
 def test_sparse_terms_make_no_bignum_product(field, big_products):
     ring = AkizukiRing(field, 511)
     rng = random.Random(f"spy:{field}")
-    x, y = (series(rng, field, 511) for _ in "xy")
+    x, y = (rand_dense(rng, field, 511) for _ in "xy")
     u = ring.w_terms
     assert len(u) == 7 and len(ring.neg_w) == 7
-    sparse = _window_mul(field, 511, ((1, x.coeffs, None), (1, y.coeffs, u), (-1, x.coeffs, ring.neg_w)))
+    terms = ((1, x.coeffs, None), (1, y.coeffs, u), (-1, x.coeffs, ring.neg_w))
+    sparse = _window_mul(field, 511, terms)
     assert big_products == []
     dense = _window_mul(field, 511, ((1, x.coeffs, y.coeffs),))
     assert len(big_products) == 1
-    want = naive_sum(field, 511, [(1, x.coeffs, None), (1, y.coeffs, u), (-1, x.coeffs, ring.neg_w)])
-    assert sparse == want and dense == naive_mul(x.coeffs, y.coeffs, field, 511)
+    assert sparse == naive_sum(field, 511, terms) and dense == naive_mul(x.coeffs, y.coeffs, field, 511)
     # the closed completion product: four kernel calls, three bignum products
     big_products.clear()
     CompletionElement(ring, x, y) * CompletionElement(ring, y, x)
     assert len(big_products) == 3
+
+
+# ----------------------------------------------------------------------
+# the component check of the two-series types
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [NormalForm, ResiduePair, ContinuousHom, CompletionElement],
+    ids=lambda kind: kind.__name__,
+)
+def test_component_check_names_type_and_precisions(kind):
+    rng = random.Random(kind.__name__)
+    field = RING_Q.field
+    # unequal precisions, and both above the working precision 31
+    for m, n in ((3, 4), (32, 32)):
+        first, second = rand_series(rng, field, m), rand_series(rng, field, n)
+        with pytest.raises(PrecisionError, match=rf"^{kind.__name__} .* {m} and {n} "):
+            kind(RING_Q, first, second)
+    foreign = rand_series(rng, PrimeField(2), 31)
+    with pytest.raises(PrecisionError, match=rf"^{kind.__name__} .*fields"):
+        kind(RING_Q, foreign, rand_series(rng, field, 31))

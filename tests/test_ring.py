@@ -19,6 +19,8 @@ from support import (
     RING_P101,
     RING_Q,
     admissible,
+    closed_u,
+    lists,
     naive_gen,
     naive_gen_nf,
     naive_mul,
@@ -43,10 +45,6 @@ RULE_RINGS = {
 
 def S(text, ring=RING_Q, precision=None):
     return parse_series(text, ring.field, precision or ring.precision)
-
-
-def lists(*series):
-    return [list(s.coeffs) for s in series]
 
 
 # ----------------------------------------------------------------------
@@ -95,9 +93,6 @@ def test_unused_exponent_tail_is_dropped():
 
 
 def test_partial_sums():
-    # upper_sum_at(i, .) collects the terms strictly above index i
-    assert str(RING_Q.upper_sum_at(1, 16)) == "t^6 + t^14"
-    assert RING_Q.upper_sum_at(1, 16).precision == 16
     # t_partial_sum(m) is w = t s_R mod t^m
     assert str(RING_Q.t_partial_sum(14)) == "t^3 + t^7"
     assert RING_Q.t_partial_sum(31) == RING_Q.w
@@ -243,25 +238,23 @@ def test_generator_index_beyond_top():
 
 
 # ----------------------------------------------------------------------
-# r-independence of the closed formulas
+# the closed formulas at every level
 
 
 @pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_mul_is_r_independent(ring):
+def test_mul_and_invert_match_closed_formulas_at_every_level(ring):
     """At every level, the product and the inverse are the closed formulas
-    with u = t s_r, for every admissible r."""
+    with u = ŵ, which is t s_r for every admissible r."""
     field = ring.field
     rng = random.Random(f"r-independent:{field}")
     for m in range(1, ring.precision + 1):
         f = ring.nf(rand_series(rng, field, m, unit=True), rand_series(rng, field, m))
         g = ring.nf(rand_series(rng, field, m), rand_series(rng, field, m))
         product, inverse = f * g, f.invert()
-        got = lists(product.x, product.y, inverse.x, inverse.y)
         parts = lists(f.x, f.y, g.x, g.y)
-        for r in admissible(ring, m):
-            u = naive_u(ring, m, r)
-            want = naive_nf_mul(*parts, u, field) + naive_nf_inv(*parts[:2], u, field)
-            assert got == list(want), (m, r)
+        u = closed_u(ring, m)
+        want = naive_nf_mul(*parts, u, field) + naive_nf_inv(*parts[:2], u, field)
+        assert lists(product.x, product.y, inverse.x, inverse.y) == list(want), m
 
 
 def test_nf_level_discipline():
