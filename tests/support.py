@@ -263,6 +263,66 @@ def naive_comp_mul(r1, s1, r2, s2, w, field):
 
 
 # ----------------------------------------------------------------------
+# each layer against its closed formula, with u = ŵ (``closed_u``)
+
+
+def tail_list(tail, n):
+    """The principal part as the numerator list over t^n."""
+    return list(tail.numerator(n).coeffs)
+
+
+def check_nf(ring, f, g):
+    field, m = ring.field, f.level
+    u = closed_u(ring, m)
+    got = f * g
+    assert lists(got.x, got.y) == list(naive_nf_mul(*lists(f.x, f.y, g.x, g.y), u, field))
+    if f.is_unit():
+        inv = f.invert()
+        assert lists(inv.x, inv.y) == list(naive_nf_inv(*lists(f.x, f.y), u, field))
+
+
+def check_duality(ring, pair, omega_nf, hom):
+    """The residue, forward and inverse maps of an invertible pair at the
+    level n of ``omega_nf``, and ``hom`` at level n or below it.  Results
+    come back canonical, with common factors of t dropped; raised back over
+    t^n they are the oracles' representatives."""
+    field, n = ring.field, omega_nf.level
+    omega = CohomologyClass.make(omega_nf, n)
+    sig, rho = lists(pair.sigma.truncate(n), pair.rho.truncate(n))
+    x, y = lists(omega_nf.x, omega_nf.y)
+    alpha, beta = (raised(field, c, n) for c in lists(hom.alpha, hom.beta))
+    u = closed_u(ring, n)
+    want = lin(field, (1, naive_mul(x, sig, field, n)), (1, naive_mul(y, rho, field, n)))
+    assert tail_list(pair.residue(omega), n) == want
+    fwd = pair.forward(omega)
+    assert [raised(field, c, n) for c in lists(fwd.alpha, fwd.beta)] == list(
+        naive_forward(x, y, sig, rho, u, field)
+    )
+    back = pair.inverse(hom).numerator
+    assert [raised(field, c, n) for c in lists(back.x, back.y)] == list(
+        naive_duality_inverse(alpha, beta, sig, rho, u, field)
+    )
+
+
+def check_hom(ring, hom, f):
+    field, n = ring.field, hom.level
+    g = f.truncate(n)
+    alpha, beta = lists(hom.alpha, hom.beta)
+    x, y = lists(g.x, g.y)
+    want = lin(field, (1, naive_mul(x, alpha, field, n)), (1, naive_mul(y, beta, field, n)))
+    assert tail_list(hom(f), n) == want
+
+
+def check_completion(ring, a, b, composed=True):
+    want = naive_comp_mul(*lists(a.rho, a.sigma, b.rho, b.sigma), naive_w(ring, ring.precision), ring.field)
+    got = a * b
+    assert lists(got.rho, got.sigma) == list(want)
+    if composed:
+        other = a.mul_via_composition(b, CompletionElement.one(ring))
+        assert lists(other.rho, other.sigma) == list(want)
+
+
+# ----------------------------------------------------------------------
 # seeded random data
 
 

@@ -1,14 +1,13 @@
-"""Differential tests of the square-zero kernel against the closed formulas.
+"""Each layer against its closed formula at random levels and at full width.
 
-Normal-form products and inverses, the duality map and its inverse, and the
-completion product all run through one dual-number kernel.  Each is checked
-here against the closed pair formula it replaced, written on plain lists in
-``support`` (``naive_nf_mul``, ``naive_nf_inv``, ``naive_forward``,
-``naive_duality_inverse``, ``naive_comp_mul``), at precisions beyond the
-31 of the other suites.  The closed formulas take u = t s_r for every
-admissible r (``support.admissible``), while the package uses one
-coefficient w at every level.  The component check shared by the four
-two-series types is tested last.
+Normal-form products and inverses, the duality maps, hom evaluation and
+the completion product are checked here against the closed pair formulas
+on plain lists in ``support`` (the ``check_*`` helpers, with u = ŵ from
+``support.closed_u``), at precisions beyond the 31 of the other suites:
+N = 127 over q and N = 255 over fp:2 and fp:101.  The duality maps also
+take a hom whose numerators share a factor t, so that it drops below the
+level of the class.  The full-width and low-level cases at N = 511 are in
+``test_fused_kernel``.
 """
 
 import random
@@ -17,27 +16,14 @@ import pytest
 
 from akizuki import (
     AkizukiRing,
-    CohomologyClass,
     CompletionElement,
     ContinuousHom,
-    NormalForm,
-    PrecisionError,
     PrimeField,
     RationalField,
     ResiduePair,
+    TruncatedSeries,
 )
-from support import (
-    RING_Q,
-    admissible,
-    naive_comp_mul,
-    naive_duality_inverse,
-    naive_forward,
-    naive_nf_inv,
-    naive_nf_mul,
-    naive_u,
-    naive_w,
-    rand_series,
-)
+from support import check_completion, check_duality, check_hom, check_nf, rand_dense
 
 RINGS = {
     "q-127": AkizukiRing(RationalField(), 127),
@@ -47,13 +33,8 @@ RINGS = {
 CASES = 2
 
 
-def lists(*series):
-    return [list(s.coeffs) for s in series]
-
-
-def raised(field, coeffs, n):
-    """A numerator list over t^m rewritten over t^n."""
-    return [field.zero()] * (n - len(coeffs)) + list(coeffs)
+def times_t(s):
+    return TruncatedSeries(s.field, (s.field.zero(),) + s.coeffs[:-1])
 
 
 def levels(ring, rng):
@@ -68,42 +49,27 @@ def test_nf_mul_and_invert_match_closed_formulas(name):
     rng = random.Random(f"nf:{name}")
     for _ in range(CASES):
         for m in levels(ring, rng):
-            f = ring.nf(rand_series(rng, field, m, unit=True), rand_series(rng, field, m))
-            g = ring.nf(rand_series(rng, field, m), rand_series(rng, field, m))
-            got, inv = f * g, f.invert()
-            for r in admissible(ring, m):
-                u = naive_u(ring, m, r)
-                assert lists(got.x, got.y) == list(naive_nf_mul(*lists(f.x, f.y, g.x, g.y), u, field))
-                assert lists(inv.x, inv.y) == list(naive_nf_inv(*lists(f.x, f.y), u, field))
+            f = ring.nf(rand_dense(rng, field, m, unit=True), rand_dense(rng, field, m))
+            g = ring.nf(rand_dense(rng, field, m), rand_dense(rng, field, m))
+            check_nf(ring, f, g)
 
 
 @pytest.mark.parametrize("name", RINGS)
 def test_duality_matches_closed_formulas(name):
     ring = RINGS[name]
-    field = ring.field
+    field, top = ring.field, ring.precision
     rng = random.Random(f"duality:{name}")
     for _ in range(CASES):
-        pair = ResiduePair(
-            ring,
-            rand_series(rng, field, ring.precision),
-            rand_series(rng, field, ring.precision, unit=True),
-        )
+        pair = ResiduePair(ring, rand_dense(rng, field, top), rand_dense(rng, field, top, unit=True))
         for n in levels(ring, rng):
-            x, y, alpha, beta = (rand_series(rng, field, n) for _ in range(4))
-            omega = CohomologyClass.make(ring.nf(x, y), n)
-            hom = ContinuousHom.make(ring, alpha, beta)
-            x, y, alpha, beta, sig, rho = lists(
-                x, y, alpha, beta, pair.sigma.truncate(n), pair.rho.truncate(n)
-            )
-            # results come back canonical, with common factors of t dropped;
-            # raised back over t^n they are the oracles' representatives
-            fwd, back = pair.forward(omega), pair.inverse(hom).numerator
-            for r in admissible(ring, n):
-                u = naive_u(ring, n, r)
-                want = naive_forward(x, y, sig, rho, u, field)
-                assert [raised(field, c, n) for c in lists(fwd.alpha, fwd.beta)] == list(want)
-                want = naive_duality_inverse(alpha, beta, sig, rho, u, field)
-                assert [raised(field, c, n) for c in lists(back.x, back.y)] == list(want)
+            hom = ContinuousHom.make(ring, rand_dense(rng, field, n), rand_dense(rng, field, n))
+            omega_nf = ring.nf(rand_dense(rng, field, n), rand_dense(rng, field, n))
+            check_duality(ring, pair, omega_nf, hom)
+            check_hom(ring, hom, omega_nf)
+            # t alpha, t beta over t^n: alpha, beta over t^(n-1), a lower level
+            low = ContinuousHom.make(ring, *(times_t(s) for s in (hom.alpha, hom.beta)))
+            assert low.level < n
+            check_duality(ring, pair, omega_nf, low)
 
 
 @pytest.mark.parametrize("name", RINGS)
@@ -111,28 +77,7 @@ def test_comp_mul_matches_closed_formula(name):
     ring = RINGS[name]
     field, n = ring.field, ring.precision
     rng = random.Random(f"comp:{name}")
-    w = naive_w(ring, n)
     for _ in range(CASES):
-        a = CompletionElement(ring, rand_series(rng, field, n), rand_series(rng, field, n))
-        b = CompletionElement(ring, rand_series(rng, field, n), rand_series(rng, field, n))
-        got = a * b
-        want = naive_comp_mul(*lists(a.rho, a.sigma, b.rho, b.sigma), w, field)
-        assert lists(got.rho, got.sigma) == list(want)
-
-
-@pytest.mark.parametrize(
-    "kind",
-    [NormalForm, ResiduePair, ContinuousHom, CompletionElement],
-    ids=lambda kind: kind.__name__,
-)
-def test_component_check_names_type_and_precisions(kind):
-    rng = random.Random(kind.__name__)
-    field = RING_Q.field
-    # unequal precisions, and both above the working precision 31
-    for m, n in ((3, 4), (32, 32)):
-        first, second = rand_series(rng, field, m), rand_series(rng, field, n)
-        with pytest.raises(PrecisionError, match=rf"^{kind.__name__} .* {m} and {n} "):
-            kind(RING_Q, first, second)
-    foreign = rand_series(rng, PrimeField(2), 31)
-    with pytest.raises(PrecisionError, match=rf"^{kind.__name__} .*fields"):
-        kind(RING_Q, foreign, rand_series(rng, field, 31))
+        a = CompletionElement(ring, rand_dense(rng, field, n), rand_dense(rng, field, n))
+        b = CompletionElement(ring, rand_dense(rng, field, n), rand_dense(rng, field, n))
+        check_completion(ring, a, b)

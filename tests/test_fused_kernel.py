@@ -4,13 +4,13 @@
 +-a*b, +-a and +-a*c for a sparse c, with one unpack and one reduction per
 result.  Normal-form products and inverses, the duality maps, hom
 evaluation and the two completion products all run on it.  Each is checked
-here against the closed pair formulas on plain lists in ``support``, with
-u = ŵ (``support.closed_u``, which also checks that t s_r = ŵ for every
-admissible r): at full width N = 511 over fp:2, fp:101 and fp:2147483647,
-N = 255 over fp:2 and fp:101 and N = 127 over q; below full width at
-levels 1 to 3 (where ŵ has no term inside the window), at level 20 (where
-several r are admissible) and at random levels; with zero operands, over a
-prime above 2^32 (slots of more than 8 bytes) and on the byte boundary
+here against the closed pair formulas on plain lists in ``support`` (the
+``check_*`` helpers, with u = ŵ from ``support.closed_u``, which also
+checks that t s_r = ŵ for every admissible r): at full width N = 511 over
+fp:2, fp:101 and fp:2147483647 and N = 127 over q; below full width at
+levels 1 to 3 (where ŵ has no term inside the window) and at level 20
+(where several r are admissible); with zero operands, over a prime above
+2^32 (slots of more than 8 bytes) and on the byte boundary
 where one product fits a slot but a sum of two needs one more byte.  A spy
 on the packed integers shows that sparse terms make no bignum product.  The
 component check shared by the four two-series types is tested last.
@@ -24,7 +24,6 @@ import pytest
 import akizuki.series
 from akizuki import (
     AkizukiRing,
-    CohomologyClass,
     CompletionElement,
     ContinuousHom,
     NormalForm,
@@ -38,18 +37,15 @@ from akizuki.series import Terms, _window_mul
 from support import (
     RING_Q,
     admissible,
+    check_completion,
+    check_duality,
+    check_hom,
+    check_nf,
     closed_u,
     lin,
-    lists,
-    naive_comp_mul,
-    naive_duality_inverse,
-    naive_forward,
     naive_mul,
-    naive_nf_inv,
-    naive_nf_mul,
     naive_sum,
     naive_w,
-    raised,
     rand_coeff,
     rand_dense,
     rand_series,
@@ -60,72 +56,14 @@ RINGS = {
     "fp2-511": AkizukiRing(PrimeField(2), 511),
     "fp101-511": AkizukiRing(PrimeField(101), 511),
     "m31-511": AkizukiRing(PrimeField(2147483647), 511),
-    "fp2-255": AkizukiRing(PrimeField(2), 255),
-    "fp101-255": AkizukiRing(PrimeField(101), 255),
     "q-127": AkizukiRing(QQ, 127),
 }
 # the least prime above 2^32: product slots are wider than 8 bytes
 WIDE = AkizukiRing(PrimeField(4294967311), 64)
 
 
-def tail_list(tail, n):
-    """The principal part as the numerator list over t^n."""
-    return list(tail.numerator(n).coeffs)
-
-
 # ----------------------------------------------------------------------
 # the layers
-
-
-def check_nf(ring, f, g):
-    field, m = ring.field, f.level
-    u = closed_u(ring, m)
-    got = f * g
-    assert lists(got.x, got.y) == list(naive_nf_mul(*lists(f.x, f.y, g.x, g.y), u, field))
-    if f.is_unit():
-        inv = f.invert()
-        assert lists(inv.x, inv.y) == list(naive_nf_inv(*lists(f.x, f.y), u, field))
-
-
-def check_duality(ring, pair, omega_nf, hom):
-    """The residue, forward and inverse maps of an invertible pair at the
-    level n of ``omega_nf``, and ``hom`` at level n or below it.  Results
-    come back canonical, with common factors of t dropped; raised back over
-    t^n they are the oracles' representatives."""
-    field, n = ring.field, omega_nf.level
-    omega = CohomologyClass.make(omega_nf, n)
-    sig, rho = lists(pair.sigma.truncate(n), pair.rho.truncate(n))
-    x, y = lists(omega_nf.x, omega_nf.y)
-    alpha, beta = (raised(field, c, n) for c in lists(hom.alpha, hom.beta))
-    u = closed_u(ring, n)
-    want = lin(field, (1, naive_mul(x, sig, field, n)), (1, naive_mul(y, rho, field, n)))
-    assert tail_list(pair.residue(omega), n) == want
-    fwd = pair.forward(omega)
-    assert [raised(field, c, n) for c in lists(fwd.alpha, fwd.beta)] == list(
-        naive_forward(x, y, sig, rho, u, field)
-    )
-    back = pair.inverse(hom).numerator
-    assert [raised(field, c, n) for c in lists(back.x, back.y)] == list(
-        naive_duality_inverse(alpha, beta, sig, rho, u, field)
-    )
-
-
-def check_hom(ring, hom, f):
-    field, n = ring.field, hom.level
-    g = f.truncate(n)
-    alpha, beta = lists(hom.alpha, hom.beta)
-    x, y = lists(g.x, g.y)
-    want = lin(field, (1, naive_mul(x, alpha, field, n)), (1, naive_mul(y, beta, field, n)))
-    assert tail_list(hom(f), n) == want
-
-
-def check_completion(ring, a, b, composed=True):
-    want = naive_comp_mul(*lists(a.rho, a.sigma, b.rho, b.sigma), naive_w(ring, ring.precision), ring.field)
-    got = a * b
-    assert lists(got.rho, got.sigma) == list(want)
-    if composed:
-        other = a.mul_via_composition(b, CompletionElement.one(ring))
-        assert lists(other.rho, other.sigma) == list(want)
 
 
 @pytest.mark.parametrize("name", RINGS)
@@ -149,20 +87,35 @@ def test_every_layer_at_full_width(name):
     assert list(embedded.rho.coeffs) == want and embedded.sigma.is_zero()
 
 
-@pytest.mark.parametrize("name", RINGS)
-def test_every_layer_below_full_width(name):
-    """Levels 1 to 3, where ŵ has no term inside the window; level 20,
-    where r = 3 .. R are admissible; and two random levels up to N / 2,
-    with random homs, some of which drop to a lower level."""
+@pytest.mark.parametrize("name", ["fp101-511", "q-127"])
+def test_every_admissible_reduction_index(name):
+    """At level 20, r = 3 .. R are admissible; ``closed_u`` checks that
+    t s_r = ŵ for each of them."""
     ring = RINGS[name]
     field, top = ring.field, ring.precision
-    rng = random.Random(f"below:{name}")
-    assert not any(closed_u(ring, 3)) and len(admissible(ring, 20)) >= 3
+    rng = random.Random(f"indices:{name}")
+    m = 20
+    assert len(admissible(ring, m)) >= 3
+    f = ring.nf(rand_dense(rng, field, m, unit=True), rand_dense(rng, field, m))
+    g = ring.nf(rand_dense(rng, field, m), rand_dense(rng, field, m))
     pair = ResiduePair(ring, rand_dense(rng, field, top), rand_dense(rng, field, top, unit=True))
-    for m in (1, 2, 3, 20, rng.randint(2, top // 2), rng.randint(2, top // 2)):
+    hom = ContinuousHom(ring, rand_dense(rng, field, m), rand_dense(rng, field, m, unit=True))
+    check_nf(ring, f, g)
+    check_duality(ring, pair, ring.nf(rand_dense(rng, field, m), rand_dense(rng, field, m)), hom)
+    check_hom(ring, hom, g)
+
+
+@pytest.mark.parametrize("name", ["fp101-511", "q-127"])
+def test_levels_where_u_has_no_term_in_the_window(name):
+    ring = RINGS[name]
+    field, top = ring.field, ring.precision
+    rng = random.Random(f"low:{name}")
+    pair = ResiduePair(ring, rand_dense(rng, field, top), rand_dense(rng, field, top, unit=True))
+    for m in (1, 2, 3):
+        assert closed_u(ring, m) == [field.zero()] * m
         f = ring.nf(rand_dense(rng, field, m, unit=True), rand_dense(rng, field, m))
         g = ring.nf(rand_dense(rng, field, m), rand_dense(rng, field, m))
-        hom = ContinuousHom(ring, rand_dense(rng, field, m), rand_dense(rng, field, m))
+        hom = ContinuousHom(ring, rand_dense(rng, field, m), rand_dense(rng, field, m, unit=True))
         check_nf(ring, f, g)
         check_duality(ring, pair, ring.nf(rand_dense(rng, field, m), rand_dense(rng, field, m)), hom)
         check_hom(ring, hom, g)
