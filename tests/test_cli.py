@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: goldens, exit codes, determinism."""
 
+import json
+import os
 import subprocess
 import sys
 import time
@@ -349,6 +351,140 @@ def test_cli_import_loads_no_dataclasses():
     added = set(proc.stdout.split())
     assert "akizuki.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis"}
+
+
+def package_modules_added(*steps):
+    """Run the steps in turn in one fresh interpreter; for each, the
+    ``akizuki`` modules it adds to ``sys.modules``."""
+    probe = [
+        "import contextlib, io, sys",
+        f"sys.path.insert(0, {str(Path(akizuki.__file__).parents[1])!r})",
+    ]
+    for step in steps:
+        probe += [
+            "bare = set(sys.modules)",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    {step}",
+            "print(*sorted(m for m in set(sys.modules) - bare if m.split('.')[0] == 'akizuki'))",
+        ]
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(probe)], capture_output=True, text=True, check=True
+    )
+    return [set(line.split()) for line in proc.stdout.splitlines()]
+
+
+def test_package_import_loads_only_errors_and_a_ring_only_its_layers():
+    bare, ring = package_modules_added(
+        "import akizuki", "akizuki.AkizukiRing(akizuki.PrimeField(101), 511)"
+    )
+    assert bare == {"akizuki", "akizuki.errors"}
+    assert ring == {"akizuki.fields", "akizuki.ring", "akizuki.series", "akizuki.value"}
+
+
+def test_only_the_selftest_command_loads_the_law_registry():
+    cli, nf, selftest_cmd = package_modules_added(
+        "import akizuki.cli",
+        "akizuki.cli.main(['nf', 't'])",
+        "akizuki.cli.main(['selftest', 'series', '--count', '1'])",
+    )
+    assert "akizuki.selftest" not in cli | nf
+    # perfbench/spans.py finds these in sys.modules when it installs
+    assert {"akizuki.duality", "akizuki.expressions", "akizuki.literals"} <= cli
+    assert selftest_cmd == {"akizuki.selftest"}
+
+
+# The module each public name comes from, written out apart from the
+# package's own table so that a wrong entry there shows.
+HOMES = {
+    name: home
+    for home, names in [
+        ("cohomology", "CohomologyClass"),
+        ("config", "RingSettings default_ring parse_field_spec"),
+        ("duality", "CompletionElement ContinuousHom ResiduePair extract_pair"),
+        ("errors", "AlgebraError ExactDivisionError InstanceError NotInvertibleError"
+                   " ParseError PrecisionError"),
+        ("expressions", "Atom BinOp Gen Neg Num Pow eval_nf parse_expression"),
+        ("fields", "PrimeField RationalField"),
+        ("literals", "parse_comp parse_gf parse_hom parse_pair parse_series parse_tail"),
+        ("ring", "MINIMAL AkizukiRing NormalForm"),
+        ("series", "LaurentTail TruncatedSeries"),
+    ]
+    for name in names.split()
+}
+# In dependency order, so that each is looked up before another imports it.
+SUBMODULES = (
+    "value", "series", "errors", "fields", "ring",
+    "cohomology", "config", "duality", "expressions", "literals",
+)
+
+
+def test_lazy_namespace_keeps_every_name_and_submodule():
+    """After a plain ``import akizuki`` in a fresh interpreter, each
+    submodule resolves as an attribute, and every public name is the object
+    of its home module (so a table entry naming a module without that name
+    fails here) and is cached in the package once resolved."""
+    probe = (
+        "import importlib, json, sys\n"
+        f"sys.path.insert(0, {str(Path(akizuki.__file__).parents[1])!r})\n"
+        "import akizuki\n"
+        "listed = dir(akizuki)\n"
+        "submodules = [name for name in " + repr(SUBMODULES) + "\n"
+        "              if getattr(akizuki, name) is sys.modules['akizuki.' + name]]\n"
+        "star = {}\n"
+        "exec('from akizuki import *', star)\n"
+        "try:\n"
+        "    akizuki.nope\n"
+        "except AttributeError as exc:\n"
+        "    nope = str(exc)\n"
+        f"homes = {HOMES!r}\n"
+        "print(json.dumps({\n"
+        "    'all': sorted(akizuki.__all__),\n"
+        "    'version': akizuki.__version__,\n"
+        "    'misplaced': [name for name, home in homes.items() if getattr(akizuki, name)\n"
+        "                  is not getattr(importlib.import_module('akizuki.' + home), name)],\n"
+        "    'submodules': submodules,\n"
+        "    'uncached': sorted(set(akizuki.__all__) - set(vars(akizuki))),\n"
+        "    'dir_missing': sorted(set(akizuki.__all__) - set(listed)),\n"
+        "    'star': sorted(name for name, value in star.items()\n"
+        "                   if name != '__builtins__' and value is getattr(akizuki, name)),\n"
+        "    'nope': nope,\n"
+        "}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    assert report["all"] == sorted(HOMES)
+    assert report["version"] == akizuki.__version__
+    assert report["misplaced"] == []
+    assert report["submodules"] == list(SUBMODULES)
+    assert report["uncached"] == []
+    assert report["dir_missing"] == []
+    assert report["star"] == sorted(HOMES)
+    assert report["nope"] == "module 'akizuki' has no attribute 'nope'"
+
+
+def test_cli_suite_choices_follow_the_registry():
+    from akizuki import cli, selftest
+
+    assert cli.SUITE_NAMES == selftest.SUITE_NAMES
+
+
+def test_selftest_command_in_a_fresh_interpreter():
+    def akizuki_cmd(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "akizuki", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(akizuki.__file__).parents[1])},
+        )
+
+    bad = akizuki_cmd("selftest", "nope")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == (
+        "parse error: argument suite: invalid choice: 'nope' (choose from 'series', 'ring',"
+        " 'cohomology', 'duality', 'completion', 'all')\n"
+    )
+    good = akizuki_cmd("selftest", "series", "--count", "1")
+    assert (good.returncode, good.stderr) == (0, "")
+    assert good.stdout.splitlines()[-1] == "selftest series: ok"
 
 
 # ----------------------------------------------------------------------
