@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 from .errors import FormatError, NotInvertibleError, ParseError
 from .value import Value, set_field
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?$")
-_ZERO = Fraction(0)
+Fraction = _ZERO = None  # bound by RationalField(): F_p never loads fractions
 
 # Miller-Rabin with the first 13 prime bases is exact below PRIME_LIMIT, the
 # least strong pseudoprime to all of them (J. Sorenson and J. Webster,
@@ -91,6 +90,12 @@ class RationalField(Value):
     """The field of exact rational numbers."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **named):
+        global Fraction, _ZERO
+        from fractions import Fraction
+        _ZERO = Fraction(0)
+        super().__init__(*args, **named)
 
     @property
     def characteristic(self) -> int:

@@ -17,18 +17,23 @@ such as the ring's w and -w) adds a few shifted small multiples of
 a packed operand instead, and the result takes one unpack and one
 reduction.  Slots of up to 8 bytes move through ``array`` lanes by strided
 byte slices, wider ones by one ``int.to_bytes`` and ``int.from_bytes`` per
-value; ``_window_mul`` says how wide a slot is.  ``fused`` is the kernel on
-series: a product is its one-term case, and the dual-number helpers, the
-duality maps and the completion product make one call per result series.
-``fused`` first screens its terms, so exact 0 and 1 operands (the standard
-unit comp(1; 0), the probes gf(1; 0; N), 1 and w) stay out of the kernel: a
-zero factor drops its term, a factor 1 drops its product, and a sum left
-with no term or with the single term +a makes no kernel call.
+value.  Over F_p a long window makes no Python call per coefficient: a
+series caches its values as bytes (``_lanes``), operands pack from them,
+and the sum is reduced mod p on the packed integer, which also yields the
+result's bytes; ``_window_mul`` says how wide a slot is and how.  ``fused``
+is the kernel on series: a product is its one-term case, and the dual-number
+helpers, the duality maps and the completion product make one call per
+result series.  ``fused`` first screens its terms, so exact 0 and 1
+operands (the standard unit comp(1; 0), the probes gf(1; 0; N), 1 and w)
+stay out of the kernel: a zero factor drops its term, a factor 1 drops its
+product, and a sum left with no term or with the single term +a makes no
+kernel call.
 Inversion is Newton iteration g <- g + g (1 - f g) on the same kernel,
 doubling the known window each step, so it costs a few products instead of
 O(N^2) field operations (R. P. Brent and H. T. Kung, "Fast algorithms for
 manipulating formal power series", J. ACM 1978); it starts past the zero
-coefficients that follow f_0, so a constant costs one field inversion.
+coefficients that follow f_0, so a constant costs one field inversion, and
+over F_p from the schoolbook recurrence for its first coefficients.
 Sums, differences, negation and scaling of whole series go through one
 field call per window (``field.pointwise``).
 
@@ -51,6 +56,7 @@ import math
 import operator
 import sys
 from array import array
+from functools import lru_cache
 from itertools import compress, islice, repeat, zip_longest
 
 from .errors import ExactDivisionError, NotInvertibleError, PrecisionError
@@ -98,7 +104,8 @@ class TruncatedSeries(Value):
     every coefficient agree.  Instances are immutable.
     """
 
-    __slots__ = _fields = ("field", "coeffs")
+    _fields = ("field", "coeffs")
+    __slots__ = (*_fields, "_lanes")  # _lanes: the values as bytes, see _window_mul
 
     def __init__(self, field, coeffs):
         if not coeffs:
@@ -256,7 +263,9 @@ class TruncatedSeries(Value):
         f g = 1 + t^k h and the step doubles the known window.  It starts
         at the first nonzero coefficient f_k past f_0, since f_0^-1 is
         exact below it: a constant costs one field inversion, and
-        f_0 + t^m h skips every step below m.
+        f_0 + t^m h skips every step below m.  Over F_p the coefficients
+        below _NEWTON_FROM come from the schoolbook recurrence, cheaper there
+        than kernel calls (over Q its Fraction sums cost more than Newton).
         """
         field, f, n = self.field, self.coeffs, self.precision
         if not self.is_unit():
@@ -265,9 +274,13 @@ class TruncatedSeries(Value):
         if n > 1 and not f[1]:  # f_0^-1 is exact up to the next nonzero f_k
             k = next(compress(range(2, n), islice(f, 2, None)), n)
             g += [field.zero()] * (k - 1)
+        p = field.characteristic
+        while p and k < min(n, _NEWTON_FROM):  # g_k = -(f_1 g_(k-1) + ... + f_k g_0) / f_0
+            g.append((p - g[0]) * sum(map(operator.mul, f[1 : k + 1], reversed(g))) % p)
+            k += 1
         while k < n:
             step = min(k, n - k)
-            h = _window_mul(field, k + step, ((1, f, g),))[k:]
+            h = _window_mul(field, k + step, ((1, self, g),))[k:]
             g += _window_mul(field, step, ((-1, g, h),))
             k += step
         return TruncatedSeries(field, tuple(g))
@@ -394,14 +407,15 @@ def fused(*terms) -> TruncatedSeries:
     falsy and its one equals the int 1.
     """
     lead = terms[0][1]
+    field, n = lead.field, len(lead.coeffs)
     flat = []
     for sign, a, *b in terms:
         b = b[0] if b else None
-        if a is not lead:
+        if a is not lead and (type(a) is not TruncatedSeries or a.field is not field or len(a.coeffs) != n):
             lead._compat(a)
         x = a.coeffs
         if b is not None and type(b) is not Terms:
-            if b is not lead:
+            if b is not lead and (type(b) is not TruncatedSeries or b.field is not field or len(b.coeffs) != n):
                 lead._compat(b)
             y = b.coeffs
             if y[0] == 1 and not any(islice(y, 1, None)):  # b = 1
@@ -410,17 +424,18 @@ def fused(*terms) -> TruncatedSeries:
                 a, x, b = b, y, None
             elif not (y[0] or any(y)):  # y[0] first spares most any() calls
                 continue
-            else:
-                b = y
         if x[0] or any(x):
-            flat.append((sign, x, b))
-            kept = a
-    field, n = lead.field, len(lead.coeffs)
+            flat.append((sign, a, b))
     if not flat:
         return TruncatedSeries(field, (field.zero(),) * n)
     if len(flat) == 1 and flat[0][0] > 0 and flat[0][2] is None:
-        return kept
-    return TruncatedSeries(field, tuple(_window_mul(field, n, flat)))
+        return flat[0][1]
+    window = _window_mul(field, n, flat)
+    if type(window) is not _Window:
+        return TruncatedSeries(field, tuple(window))
+    result = TruncatedSeries(field, tuple(window[:]))  # a plain list converts faster
+    set_field(result, "_lanes", window.lanes)
+    return result
 
 
 def _window_mul(field, n: int, terms) -> list:
@@ -428,11 +443,13 @@ def _window_mul(field, n: int, terms) -> list:
 
     A term is (sign, a, b) with sign +1 or -1 and a dense: sign a b for a
     dense b, sign a for b None, and the sum of sign c t^e a over the pairs
-    (e, c) of a ``Terms`` b.  Every dense operand becomes integers over one
-    denominator (``field.to_ints``, which also bounds them) and is packed
-    once into a big int, slot i holding the coefficient of t^i, so the
-    product of two packed operands holds the product's coefficients side by
-    side and packed terms add slot by slot.  Each term is scaled to one
+    (e, c) of a ``Terms`` b: one small multiple of a sum of shifted copies
+    of a per distinct c, and none for c = 1.  A dense operand is a sequence
+    of values or a series; its first n values count.  Each becomes integers
+    over one denominator (``field.to_ints``, which also bounds them) and is
+    packed once into a big int, slot i holding the coefficient of t^i, so
+    the product of two packed operands holds the product's coefficients side
+    by side and packed terms add slot by slot.  Each term is scaled to one
     denominator D for the whole sum (1 over F_p), so the result takes one
     unpack and one ``field.from_ints``.  A slot is the least whole number
     of bytes that holds every operand and the bound of the sum (over F_p
@@ -445,30 +462,40 @@ def _window_mul(field, n: int, terms) -> list:
     ``half`` (the top bit of each of the low n slots) turns those n slots
     into independent unsigned numbers, and flipping the same bits again
     makes them two's complement.
+
+    Over F_p a window the short rule does not widen makes no Python call
+    per coefficient.  Operands pack from their lanes, by one strided copy
+    per lane byte: values as w-byte little-endian bytes, w the least that
+    holds p - 1, which a series keeps in ``_lanes``.  The sum's slots
+    v_i < 2^b (b the bits of its bound) reduce mod p on the packed integer
+    V: two slots apart (three if b = 8 size) a lane exceeds 2 b bits, so
+    with s = b + bitlen(p) and m = ceil(2^s / p) each v_i m fits it and
+    floor(v_i m / 2^s) = floor(v_i / p) (T. Granlund and P. Montgomery,
+    "Division by invariant integers using multiplication", PLDI 1994).
+    V - p q holds the residues, whose low w bytes are the result's lanes.
     """
-    ints = {}  # id of a dense operand -> (integers, denominator, least, largest)
-    parts = []  # (sign, a, b, denominator); a sparse b as integer Terms
+    ints, dense = {}, {}  # id of a dense operand -> (integers, den, least, largest), and -> itself
+    parts = []  # (sign, a, b, denominator); a sparse b as {integer coefficient: exponents}
     top = bound = offset = 0
     signed, den = False, 1  # bound: of the sum so far, over its denominator den
     for sign, a, b in terms:
-        if b is None:
-            d = scale = 1
-            operands = (a,)
-        elif type(b) is Terms:
+        d = scale = 1
+        operands = (a,) if b is None or type(b) is Terms else (a, b)
+        if type(b) is Terms:
             pairs = [(e, c if sign > 0 else field.neg(c)) for e, c in b if e < n]
             if not pairs:
                 continue
             cs, d, low, _ = field.to_ints([c for _, c in pairs])
             signed |= low < 0
-            b, sign, scale = Terms(zip([e for e, _ in pairs], cs)), 1, sum(map(abs, cs))
-            operands = (a,)
-        else:
-            d, scale = 1, min(len(a), len(b), n)
-            operands = (a, b)
+            sign, scale, b = 1, sum(map(abs, cs)), {}
+            for (e, _), c in zip(pairs, cs):
+                b.setdefault(c, []).append(e)
         for x in operands:
-            got = ints.get(id(x))
+            key = id(x)
+            got = ints.get(key)
             if got is None:
-                got = ints[id(x)] = field.to_ints(x[:n])
+                dense[key] = x
+                got = ints[key] = field.to_ints((x.coeffs if type(x) is TruncatedSeries else x)[:n])
             _, dx, low, high = got
             if low < 0:
                 signed, high = True, max(high, -low)
@@ -476,6 +503,8 @@ def _window_mul(field, n: int, terms) -> list:
                 top = high
             d *= dx
             scale *= high
+        if len(operands) == 2:  # a coefficient of a b sums at most len(b) products
+            scale *= len(got[0])
         if sign < 0:
             p = field.characteristic
             if p:  # M - P for the least multiple M of p at or above the bound
@@ -492,25 +521,33 @@ def _window_mul(field, n: int, terms) -> list:
             den = common
     if not parts:
         return [field.zero()] * n
-    size = max(1, (max(bound, top).bit_length() + signed + 7) // 8)
-    if size <= _LANE and n * _lane_bytes(size) <= _SHORT_BYTES:
-        size = _lane_bytes(size)
+    bits = max(bound, top).bit_length()
+    size = max(1, (bits + signed + 7) // 8)
+    w = 0  # bytes per lane: over F_p, in a window the short rule does not widen
+    if size <= _LANE and n * _LANE_BYTES[size] <= _SHORT_BYTES:
+        size = _LANE_BYTES[size]
+    else:
+        p = field.characteristic
+        w = p and ((p - 1).bit_length() + 7) // 8
     width = n * size
     half = 0
     if signed:
         half = int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * n, "little")
 
     for key, got in ints.items():  # from here on, ints holds packed operands
-        ints[key] = _pack(got[0], size, half)
+        ints[key] = _pack(_reslot(_lanes(dense[key], got[0], w), w, size) if w else got[0], size, half)
     total = None
     for sign, a, b, d in parts:
         x = ints[id(a)]
         if b is None:
             term = x
-        elif type(b) is Terms:
+        elif type(b) is dict:
             term = 0
-            for e, m in b:
-                term += m * (x << 8 * size * e)
+            for m, exponents in b.items():
+                shifted = 0
+                for e in exponents:
+                    shifted += x << 8 * size * e
+                term += shifted if m == 1 else m * shifted
         else:
             term = x * ints[id(b)]
         if d != den:
@@ -523,8 +560,18 @@ def _window_mul(field, n: int, terms) -> list:
         total += int.from_bytes(offset.to_bytes(size, "little") * n, "little")
     if signed:
         total = (total + half) ^ half
-    raw = (total & ((1 << 8 * width) - 1)).to_bytes(width, "little")
-    return field.from_ints(_unpack(raw, size, signed), den)
+    total &= (1 << 8 * width) - 1
+    if not w:
+        return field.from_ints(_unpack(total.to_bytes(width, "little"), size, signed), den)
+    lanes = bytes(_reslot(_reduce(total, n, size, p, bits), size, w))
+    window = _Window(lanes if w == 1 else _unpack(lanes, w, False))
+    window.lanes = lanes
+    return window
+
+
+class _Window(list):
+    """A kernel result over F_p: its values, with their ``lanes``."""
+    __slots__ = ("lanes",)
 
 
 # Slots of at most 8 bytes move through ``array`` lanes: the narrowest
@@ -537,44 +584,65 @@ _LANE = 8
 # copies: up to this many bytes per packed operand, below CPython's
 # Karatsuba cutoff (70 digits of 30 bits), the wider product costs less
 # than the copies (measured crossovers: 3-byte slots near 64 coefficients,
-# 5-byte slots near 32).  Longer windows keep the least slot width.
+# 5-byte slots near 32).  Longer windows keep the least slot width, over
+# F_p with operands packed from lanes (see _window_mul).
 _SHORT_BYTES = 256
+# Over F_p, invert takes this many coefficients from the recurrence (measured).
+_NEWTON_FROM = 16
 _SWAP = sys.byteorder != "little"
+# By slot bytes (up to 8): the array lane width, and its typecodes unsigned and signed.
+_LANE_BYTES = (0, 1, 2, 4, 4, 8, 8, 8, 8)
+_LANE_CODES = (" BHIIQQQQ", " bhiiqqqq")
 # The top byte of a two's-complement slot -> the byte that extends its sign.
 _SIGN_FILL = bytes(128) + b"\xff" * 128
 
 
-def _lane_bytes(size: int) -> int:
-    """The width of the lane that holds a slot of ``size`` <= 8 bytes."""
-    return 1 << (size - 1).bit_length()
+def _reslot(raw, old: int, new: int):
+    """The values of the ``old``-byte slots of ``raw`` in ``new``-byte slots."""
+    if new == old:
+        return raw
+    if new == 1:
+        return raw[::old]
+    out = bytearray(len(raw) // old * new)
+    for k in range(min(old, new)):
+        out[k::new] = raw[k::old]
+    return out
 
 
-def _lane_code(size: int, signed: bool) -> str:
-    """The array typecode whose items hold one slot of ``size`` <= 8 bytes."""
-    return ("bhiq" if signed else "BHIQ")[(size - 1).bit_length()]
+def _slot_bytes(ints, size: int, signed: bool):
+    """The integers written into ``size``-byte little-endian slots, two's
+    complement when ``signed``."""
+    if size > _LANE:
+        return b"".join([v.to_bytes(size, "little", signed=signed) for v in ints])
+    if size == 1 and not signed:
+        return bytes(ints)
+    lanes = array(_LANE_CODES[signed][size], ints)
+    if _SWAP:
+        lanes.byteswap()
+    step, raw = lanes.itemsize, lanes.tobytes()
+    return raw if step == size else _reslot(raw, step, size)
 
 
-def _pack(ints, size: int, half: int) -> int:
-    """sum ints[i] * 2^(8 size i), each value written into ``size`` bytes.
+def _lanes(x, window, w: int):
+    """The lanes of ``window``, x's values; a series keeps its own in ``_lanes``."""
+    if type(x) is not TruncatedSeries:
+        return _slot_bytes(window, w, False)
+    if getattr(x, "_lanes", None) is None:
+        set_field(x, "_lanes", _slot_bytes(x.coeffs, w, False))
+    return x._lanes[: len(window) * w]
+
+
+def _pack(values, size: int, half: int) -> int:
+    """sum values[i] 2^(8 size i), for integers or their bytes in slots.
 
     ``half`` is 0 for unsigned slots, else the top bit of every slot: then
     slots are two's complement, so each negative one reads 2^(8 size) too
     high, and its sign bit, doubled, is the borrow to take back.
     """
-    signed = half != 0
-    if size <= _LANE:
-        lanes = array(_lane_code(size, signed), ints)
-        if _SWAP:
-            lanes.byteswap()
-        step, raw = lanes.itemsize, lanes.tobytes()
-        if step != size:
-            wide, raw = raw, bytearray(len(ints) * size)
-            for k in range(size):
-                raw[k::size] = wide[k::step]
-    else:
-        raw = b"".join([v.to_bytes(size, "little", signed=signed) for v in ints])
-    packed = int.from_bytes(raw, "little")
-    return packed - ((packed & half) << 1) if signed else packed
+    if type(values) is not bytes and type(values) is not bytearray:
+        values = _slot_bytes(values, size, half != 0)
+    packed = int.from_bytes(values, "little")
+    return packed - ((packed & half) << 1) if half else packed
 
 
 def _unpack(raw, size: int, signed: bool) -> list:
@@ -586,12 +654,10 @@ def _unpack(raw, size: int, signed: bool) -> list:
             from_bytes(raw[i : i + size], "little", signed=signed)
             for i in range(0, len(raw), size)
         ]
-    out = array(_lane_code(size, signed))
+    out = array(_LANE_CODES[signed][size])
     step = out.itemsize
     if step != size:
-        lanes = bytearray(len(raw) // size * step)
-        for k in range(size):
-            lanes[k::step] = raw[k::size]
+        lanes = _reslot(raw, size, step)
         if signed:
             fill = raw[size - 1 :: size].translate(_SIGN_FILL)
             for k in range(size, step):
@@ -601,6 +667,25 @@ def _unpack(raw, size: int, signed: bool) -> list:
     if _SWAP:
         out.byteswap()
     return out.tolist()
+
+
+def _reduce(v: int, n: int, size: int, p: int, bits: int) -> bytes:
+    """The residues mod p of the n ``size``-byte slots of v, each below
+    2^bits, as the bytes of slots of the same width (see _window_mul)."""
+    step = 8 * size
+    lane = step * (2 if bits < step else 3)  # in bits: each second or third slot
+    s, count = bits + p.bit_length(), -(-n * step // lane)
+    slots, low = _low_bits(count, lane, step), _low_bits(count, lane, lane - s)
+    m, q = -(-(1 << s) // p), 0
+    for k in range(0, lane, step):
+        q |= ((v >> k & slots) * m >> s & low) << k
+    return (v - p * q).to_bytes(n * size, "little")
+
+
+@lru_cache(maxsize=32)
+def _low_bits(count: int, lane: int, bits: int) -> int:
+    """The low ``bits`` bits of each of ``count`` lanes of ``lane`` bits."""
+    return int.from_bytes(((1 << bits) - 1).to_bytes(lane // 8, "little") * count, "little")
 
 
 # ----------------------------------------------------------------------

@@ -353,9 +353,13 @@ def test_cli_import_loads_no_dataclasses():
     assert not added & {"dataclasses", "inspect", "ast", "dis"}
 
 
+# Loaded by ``fractions``, which only the rational field needs.
+FRACTIONS = {"fractions", "decimal", "numbers"}
+
+
 def package_modules_added(*steps):
     """Run the steps in turn in one fresh interpreter; for each, the
-    ``akizuki`` modules it adds to ``sys.modules``."""
+    ``akizuki`` modules it adds to ``sys.modules``, and those of FRACTIONS."""
     probe = [
         "import contextlib, io, sys",
         f"sys.path.insert(0, {str(Path(akizuki.__file__).parents[1])!r})",
@@ -365,7 +369,7 @@ def package_modules_added(*steps):
             "bare = set(sys.modules)",
             "with contextlib.redirect_stdout(io.StringIO()):",
             f"    {step}",
-            "print(*sorted(m for m in set(sys.modules) - bare if m.split('.')[0] == 'akizuki'))",
+            f"print(*sorted(m for m in set(sys.modules) - bare if m.split('.')[0] in {{'akizuki', *{sorted(FRACTIONS)}}}))",
         ]
     proc = subprocess.run(
         [sys.executable, "-c", "\n".join(probe)], capture_output=True, text=True, check=True
@@ -374,11 +378,15 @@ def package_modules_added(*steps):
 
 
 def test_package_import_loads_only_errors_and_a_ring_only_its_layers():
-    bare, ring = package_modules_added(
-        "import akizuki", "akizuki.AkizukiRing(akizuki.PrimeField(101), 511)"
+    bare, ring, rational = package_modules_added(
+        "import akizuki",
+        "akizuki.AkizukiRing(akizuki.PrimeField(101), 511)",
+        "akizuki.RationalField()",
     )
     assert bare == {"akizuki", "akizuki.errors"}
+    # an F_p ring loads no fractions, decimal or numbers; the first rational field does
     assert ring == {"akizuki.fields", "akizuki.ring", "akizuki.series", "akizuki.value"}
+    assert rational == FRACTIONS
 
 
 def test_only_the_selftest_command_loads_the_law_registry():

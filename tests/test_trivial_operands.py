@@ -185,7 +185,9 @@ def test_packs_per_product_at_511(packs):
     """Operands packed per product: the closed product and the normal-form
     product plus inverse are dense throughout, while the composed product
     relative to comp(1; 0) packs only its dense operands (79 before the
-    screens)."""
+    screens).  Over F_p Newton inversion starts at 16 coefficients, so the
+    normal-form inverse skips the steps at 1, 2, 4 and 8, two kernel calls
+    of two packs each (54 packs before)."""
     ring = RINGS["fp101-511"]
     rng = random.Random("packs")
     a, b = comp(rng, ring), comp(rng, ring)
@@ -200,4 +202,4 @@ def test_packs_per_product_at_511(packs):
         packs.clear()
         product()
         counts.append(len(packs))
-    assert counts == [11, 54, 19]
+    assert counts == [11, 38, 19]
