@@ -8,10 +8,10 @@ vanishing criterion becomes simply x = y = 0 in the window, so classes have
 an exact equality test.
 
 A class is the pair of numerators x, y over t^n, a ``series.FractionPair``
-like the continuous homs: its constructor stores every class at its least
-exponent, so ``==`` is equality of classes however a class is built, and
-the base gives raising, addition and the zero class gf(0; 0; 1).  This
-module adds the action of the ring.
+like the continuous homs, stored like its numerator on 1 and w - ŵ: its
+constructor stores every class at its least exponent, so ``==`` is equality
+of classes however a class is built, and the base gives raising, addition
+and the zero class gf(0; 0; 1).  This module adds the action of the ring.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from .ring import NormalForm
 from .series import FractionPair, TruncatedSeries
 
 
-class CohomologyClass(FractionPair):
-    """The class of (x + y*w) / t^n, written gf(x; y; n)."""
+class CohomologyClass(FractionPair, names=("x", "y"), shift=NormalForm._shift):
+    """The class of (x + y*w) / t^n, written gf(x; y; n), stored as its numerator is."""
 
-    __slots__ = _parts = ("x", "y")
+    __slots__ = ()
     exponent = FractionPair.level  # the level n of the denominator t^n
 
     @property
     def numerator(self) -> NormalForm:
-        return self.ring.nf(self.x, self.y)
+        return NormalForm.from_parts(self.ring, *self.parts)
 
     @classmethod
     def make(cls, numerator: NormalForm, exponent: int) -> "CohomologyClass":
@@ -42,7 +42,7 @@ class CohomologyClass(FractionPair):
                 f"numerator level {numerator.level} below exponent {exponent}"
             )
         f = numerator.truncate(exponent)
-        return cls(f.ring, f.x, f.y)
+        return cls.from_parts(f.ring, *f.parts)
 
     # ------------------------------------------------------------------
     # module structure
@@ -55,15 +55,11 @@ class CohomologyClass(FractionPair):
         return CohomologyClass.make(f.truncate(n).mul(self.numerator), n)
 
     def scaled(self, a: TruncatedSeries) -> "CohomologyClass":
-        """The A-module action of a scalar series a."""
-        if a.precision < self.exponent:
-            raise PrecisionError(
-                f"scalar precision {a.precision} below exponent {self.exponent}"
-            )
-        return self.act(self.ring.nf(
-            a.truncate(self.exponent),
-            TruncatedSeries.zero(self.ring.field, self.exponent),
-        ))
+        """The A-module action of a scalar series a, on both parts."""
+        n = self.exponent
+        if a.precision < n:
+            raise PrecisionError(f"scalar precision {a.precision} below exponent {n}")
+        return CohomologyClass.from_parts(self.ring, *(a.truncate(n) * part for part in self.parts))
 
     # ------------------------------------------------------------------
 

@@ -29,14 +29,15 @@ exponent n_j + 1 >= n_{r+1} + 1 >= 2 n_r + 3 > m.  So C_M / t^m C_M is
 A/t^m [w] / (w - ŵ)^2, one relation with the same sparse coefficient at
 every level.  Consequently every ring element is congruent mod t^m C_M to a
 normal form x + y*w with x, y series over A, and the pair (x mod t^m,
-y mod t^m) is a complete invariant of the class.  All arithmetic below works
-on such pairs; the discarded remainder in t^m C_M is never materialized.
+y mod t^m) is a complete invariant of the class.  It is stored on 1 and
+v = w - ŵ, as (x + ŵ y, y), where products and inverses are those of dual
+numbers; the discarded remainder in t^m C_M is never materialized.
 """
 
 from __future__ import annotations
 
 from .errors import InstanceError, NotInvertibleError, PrecisionError
-from .series import SeriesPair, Terms, TruncatedSeries, dual_invert, dual_mul, fused
+from .series import SeriesPair, Terms, TruncatedSeries, dual_invert, dual_mul
 
 MINIMAL = "minimal"
 
@@ -119,12 +120,10 @@ class AkizukiRing:
             raise InstanceError("every coefficient a_i must be a unit")
         self.units = tuple(us)
 
-        # Derived data: z and w = t(z - a_0), and w and -w as sparse terms.
+        # Derived data: z and w = t(z - a_0), and w as sparse terms.
         self.z = self._terms(0, count, precision)
         self.w = self._terms(1, count, precision).shift(1)
-        w_pairs = [(n_j + 1, a_j) for n_j, a_j in zip(ns[1:], us[1:]) if n_j + 1 < precision]
-        self.w_terms = Terms(w_pairs)
-        self.neg_w = Terms((e, field.neg(a)) for e, a in w_pairs)
+        self.w_terms = Terms((n_j + 1, a_j) for n_j, a_j in zip(ns[1:], us[1:]) if n_j + 1 < precision)
 
     # ------------------------------------------------------------------
     # instance data
@@ -173,21 +172,19 @@ class AkizukiRing:
         """The normal form of the generator g_i = (z_i - a_i)^2 at level m.
 
         From w - t s_i = t^{n_i + 1} (z_i - a_i) one gets
-        t^{2 n_i + 2} g_i = (w - t s_i)^2, and the relation (w - t s_R)^2 = 0
-        at level m + 2 n_i + 2 yields
+        t^{2 n_i + 2} g_i = (w - t s_i)^2 = (v + d)^2 with v = w - t s_R and
+        d = t (s_R - s_i), and the relation v^2 = 0 at level m + 2 n_i + 2
+        yields the stored parts of
 
-            g_i = [ t^2 (s_i^2 - s_R^2)  +  2 t (s_R - s_i) w ] / t^{2 n_i + 2},
+            g_i = [ d^2  +  2 d v ] / t^{2 n_i + 2},
 
         where both divisions are exact.  The relation must hold at level
         m + 2 n_i + 2, so m is capped at 2 n_R + 2 - (2 n_i + 2).
         """
         drop = self._generator_drop(i, m)
         need = m + drop
-        s_i = self._terms(1, i + 1, need)
-        s_top = self._terms(1, len(self.exponents), need)
-        x = (s_i * s_i - s_top * s_top).shift(2).shift(-drop)
-        y = (s_top - s_i).shift(1).scale(2).shift(-drop)
-        return self.nf(x, y)
+        d = (self._terms(1, len(self.exponents), need) - self._terms(1, i + 1, need)).shift(1)
+        return NormalForm.from_parts(self, (d * d).shift(-drop), d.scale(2).shift(-drop))
 
     def _generator_drop(self, i: int, m: int) -> int:
         """Check that g_i is representable at level m; return the headroom
@@ -219,52 +216,43 @@ class AkizukiRing:
         )
 
 
-class NormalForm(SeriesPair):
-    """The class of x + y*w modulo t^m C_M.
+class NormalForm(SeriesPair, names=("x", "y"), shift=(0, 1)):
+    """The class of x + y*w modulo t^m C_M, stored as (a, y) = (x + ŵ y, y).
 
     Both components are series at precision m (the *level* of the form).
-    By construction the pair determines the class uniquely, so ``==``, which
-    compares ring, x and y, is exact equality in C_M / t^m C_M.
+    By construction the pair determines the class uniquely, so ``==``,
+    which compares ring, a and y, is exact equality in C_M / t^m C_M.
     """
 
-    __slots__ = _parts = ("x", "y")
-
-    @property
-    def level(self) -> int:
-        return self.x.precision
+    __slots__ = ()
 
     def is_unit(self) -> bool:
         """Units of the local ring: forms whose A-part has a unit constant."""
-        return self.x.is_unit()
+        return self.parts[0].is_unit()
 
     def truncate(self, m: int) -> "NormalForm":
-        return NormalForm(self.ring, self.x.truncate(m), self.y.truncate(m))
+        return NormalForm.from_parts(self.ring, *(part.truncate(m) for part in self.parts))
 
     def mul(self, other) -> "NormalForm":
-        """Product, with (w - ŵ)^2 = 0 at this level."""
+        """Product, with v^2 = 0 at this level."""
         self._compat(other)
-        return NormalForm(self.ring, *dual_mul(self.x, self.y, other.x, other.y, self.ring.w_terms))
+        return NormalForm.from_parts(self.ring, *dual_mul(*self.parts, *other.parts))
 
     def __mul__(self, other):
         return self.mul(other)
 
     def invert(self) -> "NormalForm":
-        """The inverse of a unit x + y*w.
-
-        The level-m ring is A/t^m [w] with (w - ŵ)^2 = 0, so
-        x + y w = a + y (w - ŵ) with a = x + y ŵ, whose inverse is
-        i - y i^2 (w - ŵ) for i = a^-1: one series inversion.
-        """
+        """The inverse of a unit a + y v: i - y i^2 v for i = a^-1, one
+        series inversion."""
         if not self.is_unit():
             raise NotInvertibleError(
                 "not a unit of the local ring: the A-part has no constant term"
             )
-        return NormalForm(self.ring, *dual_invert(self.x, self.y, self.ring.w_terms))
+        return NormalForm.from_parts(self.ring, *dual_invert(*self.parts))
 
     def embed(self) -> TruncatedSeries:
-        """The image x + y * t(z - a_0) in the completed DVR, mod t^level
-        (one kernel call: x + y * w, with the ring's sparse w)."""
-        return fused((1, self.x), (1, self.y, self.ring.w_terms))
+        """The image a = x + y * t(z - a_0) in the completed DVR, mod t^level."""
+        return self.parts[0]
 
     def __str__(self) -> str:
         return f"({self.x}) + ({self.y})*w mod t^{self.level}"

@@ -428,6 +428,23 @@ def _hom_addition(ring, rng):
     return None
 
 
+def _standard_forward(omega):
+    """pair(0;1).forward(omega), the pairing through the standard unit
+    comp(1;0), in closed form: gf(x;y;n) pairs f with the w-part of
+    f (x + y w), so 1 and w go to y and x + 2 w^ y."""
+    x, y = omega.x, omega.y
+    return ContinuousHom(omega.ring, y, x + (omega.ring.w.truncate(omega.exponent) * y).scale(2))
+
+
+def _standard_factorization(ring, rng):
+    pair = _pair(rng, ring, invertible=False)
+    omega = _klass(rng, ring)
+    c = ring.nf(pair.rho - (ring.w * pair.sigma).scale(2), pair.sigma)
+    if pair.forward(omega) != _standard_forward(omega.act(c)):
+        return "forward map is not pair(0;1) after the action of (rho - 2 w^ sigma) + sigma w"
+    return None
+
+
 def _forward_additive(ring, rng):
     pair = _pair(rng, ring, invertible=True)
     a, b = _klass(rng, ring), _klass(rng, ring)
@@ -494,6 +511,23 @@ def _embed_multiplicative(ring, rng):
     return None
 
 
+def _embed_action(ring, rng):
+    f = _nf(rng, ring, ring.precision)
+    omega = _klass(rng, ring)
+    if CompletionElement.embed(f).pair.forward(omega) != _standard_forward(omega.act(f)):
+        return "embed(f) does not act on classes through pair(0;1) as f does"
+    return None
+
+
+def _embed_injective(ring, rng):
+    n, field = ring.precision, ring.field
+    f, h = _nf(rng, ring, n), _nf(rng, ring, n, unit=True)
+    v = ring.nf(-ring.w, TruncatedSeries.one(field, n))  # w - w^, nonzero mod t^N
+    if CompletionElement.embed(f) == CompletionElement.embed(f + v * h):
+        return "embedding into the completion kills (w - w^) h for a unit h"
+    return None
+
+
 def _endo_extraction(ring, rng):
     pair = _pair(rng, ring, invertible=False)
     n = rng.randint(1, ring.precision)
@@ -551,12 +585,15 @@ SUITES = {
         ("canonical_levels", _canonical_levels),
         ("hom_addition", _hom_addition),
         ("forward_additive", _forward_additive),
+        ("standard_factorization", _standard_factorization),
     ],
     "completion": [
         ("nilpotent", _nilpotent),
         ("comp_axioms", _comp_axioms),
         ("closed_vs_composed", _closed_vs_composed),
         ("embed_multiplicative", _embed_multiplicative),
+        ("embed_action", _embed_action),
+        ("embed_injective", _embed_injective),
         ("endo_extraction", _endo_extraction),
         ("unit_composition", _unit_composition),
     ],

@@ -13,7 +13,7 @@ of a whole sum of terms +-a b and +-a: each dense window becomes integers
 over one common denominator (1 over F_p), packed once per call into the
 slots of one Python int, so one bignum product (Karatsuba in CPython)
 yields every coefficient of a product, a sparse factor (a ``Terms`` list,
-such as the ring's w and -w) adds a few shifted small multiples of
+such as the ring's ŵ) adds a few shifted small multiples of
 a packed operand instead, and the result takes one unpack and one
 reduction.  Slots of up to 8 bytes move through ``array`` lanes by strided
 byte slices, wider ones by one ``int.to_bytes`` and ``int.from_bytes`` per
@@ -22,9 +22,9 @@ series caches its values as bytes (``_lanes``), operands pack from them,
 and the sum is reduced mod p on the packed integer, which also yields the
 result's bytes; ``_window_mul`` says how wide a slot is and how.  ``fused``
 is the kernel on series: a product is its one-term case, and the dual-number
-helpers, the duality maps and the completion product make one call per
-result series.  ``fused`` first screens its terms, so exact 0 and 1
-operands (the standard unit comp(1; 0), the probes gf(1; 0; N), 1 and w)
+helpers, the duality maps and the basis conversion make one call per result
+series.  ``fused`` first screens its terms, so exact 0 and 1 operands (the
+standard unit comp(1; 0), the probes gf(1; 0; N), 1 and w)
 stay out of the kernel: a zero factor drops its term, a factor 1 drops its
 product, and a sum left with no term or with the single term +a makes no
 kernel call.
@@ -43,11 +43,13 @@ isomorphic quotients K/A, K^/A^ and the top local cohomology of A itself.
 The constructor drops vanishing deepest pole coefficients, so every tail is
 canonical however it is built and equality is plain coefficient comparison.
 
-``SeriesPair`` is the base of every type built on two series over one ring.
-``FractionPair`` refines it for two numerators over t^n modulo t^n, the
-cohomology classes and continuous homs: its constructor cuts both
-numerators to their least level, so every value is canonical and ``==`` is
-the one equality; raising and addition across levels are written there once.
+``SeriesPair`` is the base of every type built on two series over one ring,
+each stored on 1 and the square-zero v = w - ŵ, where products are those of
+dual numbers (``dual_mul``, ``dual_invert``).  ``FractionPair`` refines it
+for two numerators over t^n modulo t^n, the cohomology classes and
+continuous homs: its constructor cuts both numerators to their least level,
+so every value is canonical and ``==`` is the one equality; raising and
+addition across levels are written there once.
 """
 
 from __future__ import annotations
@@ -689,48 +691,51 @@ def _low_bits(count: int, lane: int, bits: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# helpers for the types built on a pair of series
+# the types built on a pair of series
 
 
-def dual_mul(x1, y1, x2, y2, c):
-    """(x1 + y1 e)(x2 + y2 e) in S[e]/(e - c)^2, as the pair (x, y), for a
-    sparse c (``Terms``).
-
-    With v = e - c (v^2 = 0) and a = x + c y, the product of a + y v terms is
-    a1 a2 + b v, b = a1 y2 + a2 y1, and x = a1 a2 - c b: four kernel calls
-    with three bignum products, c entering as shifted adds.
-    """
-    a1, a2 = fused((1, x1), (1, y1, c)), fused((1, x2), (1, y2, c))
-    b = fused((1, a1, y2), (1, a2, y1))
-    return fused((1, a1, a2), (-1, b, c)), b
+def dual_mul(a1, y1, a2, y2):
+    """(a1 + y1 v)(a2 + y2 v) for a square-zero v, as the pair (a1 a2,
+    a1 y2 + a2 y1): two kernel calls, three bignum products."""
+    return fused((1, a1, a2)), fused((1, a1, y2), (1, a2, y1))
 
 
-def dual_invert(x, y, c):
-    """The inverse of x + y e in S[e]/(e - c)^2 for a sparse c (``Terms``;
-    a = x + c y must be a unit): (a + y v)^-1 = i - y i^2 v with i = a^-1,
-    rewritten in the e basis, one kernel call per series."""
-    i = fused((1, x), (1, y, c)).invert()
-    y_inv = fused((-1, y, i * i))
-    return fused((1, i), (-1, y_inv, c)), y_inv
+def dual_invert(a, y):
+    """The inverse of a + y v for a square-zero v and a unit a, as the pair
+    (i, -y i^2) with i = a^-1: one series inversion and two products."""
+    i = a.invert()
+    return i, fused((-1, y, i * i))
 
 
 class SeriesPair(Value):
     """Base of the types built on two series over one ring.
 
-    A subclass is a value of ``ring`` and two series, which it names in
-    ``__slots__`` and ``_parts``.  Both series lie over the ring's field at
-    one precision, at most the working precision, or exactly it when
-    ``_full`` is set; otherwise construction raises PrecisionError.  Zero
-    test, negation, addition and subtraction work componentwise.
+    A subclass, declared with the class keywords ``names`` and ``shift``,
+    prints the two series named in ``names`` and keeps in ``parts`` their
+    coordinates on 1 and v = w - ŵ: for ``shift`` = (i, s), stored part i is
+    printed part i plus s ŵ times the other, which is shared.  Both parts
+    lie over the ring's field at one precision, at most the working
+    precision, or exactly it when ``_full`` is set; otherwise the
+    constructor, which takes printed series, raises PrecisionError.
     """
 
-    __slots__ = ("ring",)
-    _parts: tuple
+    __slots__ = ("ring", "parts")
     _full = False
+
+    def __init_subclass__(cls, names=None, shift=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if names:
+            cls._names, cls._shift, cls._fields = names, shift, ("ring", *names)
+            for i, name in enumerate(names):
+                if i == shift[0]:  # read back through the conversion
+                    read = lambda self, i=i: self._moved(self.parts, -1)[i]
+                else:  # the part both bases share
+                    read = lambda self, i=i: self.parts[i]
+                setattr(cls, name, property(read, doc=f"The printed series {name}."))
 
     def __init__(self, ring, *series, **named):
         if named or len(series) != 2:
-            series = bind(self, self._parts, series, named)
+            series = bind(self, self._names, series, named)
         first, second = series
         field, name = ring.field, type(self).__name__
         n, m, top = first.precision, second.precision, ring.precision
@@ -741,18 +746,39 @@ class SeriesPair(Value):
                 f"{name} component precisions {n} and {m} must agree and "
                 f"{'equal' if self._full else 'stay within'} the working precision {top}"
             )
-        a, b = self._parts
         set_field(self, "ring", ring)
-        set_field(self, a, first)
-        set_field(self, b, second)
+        self._store(*self._moved(series, 1))
+
+    @classmethod
+    def from_parts(cls, ring, first, second):
+        """The value whose stored parts are the two series."""
+        value = object.__new__(cls)
+        set_field(value, "ring", ring)
+        value._store(first, second)
+        return value
+
+    def _store(self, first, second):
+        set_field(self, "parts", (first, second))
+
+    def _moved(self, parts, sign):
+        """The one conversion between the bases: sign 1 stores printed
+        series, and sign -1 prints stored parts."""
+        i, s = self._shift
+        out = list(parts)
+        out[i] = fused((1, parts[i]), (sign * s, parts[1 - i], self.ring.w_terms))
+        return out
 
     @property
-    def _fields(self) -> tuple:
-        return ("ring", *self._parts)
+    def level(self) -> int:
+        return self.parts[0].precision
 
-    def _series(self) -> tuple:
-        a, b = self._parts
-        return getattr(self, a), getattr(self, b)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ring == other.ring and self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.ring, self.parts))
 
     def _compat(self, other):
         name = type(self).__name__
@@ -762,14 +788,14 @@ class SeriesPair(Value):
             raise ValueError(f"{name} values belong to different ring instances")
 
     def is_zero(self) -> bool:
-        return all(part.is_zero() for part in self._series())
+        return all(part.is_zero() for part in self.parts)
 
     def __neg__(self):
-        return type(self)(self.ring, *(-part for part in self._series()))
+        return self.from_parts(self.ring, *(-part for part in self.parts))
 
     def __add__(self, other):
         self._compat(other)
-        return type(self)(self.ring, *map(operator.add, self._series(), other._series()))
+        return self.from_parts(self.ring, *map(operator.add, self.parts, other.parts))
 
     def __sub__(self, other):
         return self + -other
@@ -779,44 +805,41 @@ class FractionPair(SeriesPair):
     """Base of the types that are two numerators over t^n, modulo t^n: the
     cohomology classes gf(x; y; n) and the continuous homs hom(n; a; b).
 
-    The level n is the numerators' precision.  After the ``SeriesPair``
-    checks the constructor stores the fraction at its least level,
-    cancelling t from both numerators while both share it and n exceeds 1,
-    so equal fractions are equal values however they are built.  ``+``
-    works at the larger of two levels.
+    The level n is the numerators' precision.  Every value is stored at its
+    least level, with t cancelled from both parts while both share it (t
+    divides ŵ, so the printed parts share it too) and n exceeds 1, so equal
+    fractions are equal values however they are built.  ``+`` works at the
+    larger of two levels.
     """
 
     __slots__ = ()
 
-    def __init__(self, ring, *series, **named):
-        super().__init__(ring, *series, **named)
-        x, y = self._series()
+    def _store(self, x, y):
         is_zero, k = x.field.is_zero, 0
         while k < x.precision - 1 and is_zero(x.coeffs[k]) and is_zero(y.coeffs[k]):
             k += 1
         if k:
-            set_field(self, self._parts[0], x.shift(-k))
-            set_field(self, self._parts[1], y.shift(-k))
-
-    @property
-    def level(self) -> int:
-        return getattr(self, self._parts[0]).precision
+            x, y = x.shift(-k), y.shift(-k)
+        super()._store(x, y)
 
     @classmethod
     def zero(cls, ring):
         z = TruncatedSeries.zero(ring.field, 1)
-        return cls(ring, z, z)
+        return cls.from_parts(ring, z, z)
 
-    def raised(self, n: int) -> tuple:
-        """The two numerators over the larger denominator t^n: t^(n - level)
-        times each."""
+    def parts_over(self, n: int) -> tuple:
+        """The stored parts over the larger denominator t^n."""
         k = n - self.level
         if k < 0:
             raise PrecisionError(f"cannot lower level {self.level} to {n}")
-        return tuple(part.promote(k) for part in self._series())
+        return tuple(part.promote(k) for part in self.parts)
+
+    def raised(self, n: int) -> tuple:
+        """The two printed numerators over the larger denominator t^n."""
+        return tuple(self._moved(self.parts_over(n), -1))
 
     def __add__(self, other):
         """The sum at the larger level (so is the inherited difference)."""
         self._compat(other)
         n = max(self.level, other.level)
-        return type(self)(self.ring, *map(operator.add, self.raised(n), other.raised(n)))
+        return self.from_parts(self.ring, *map(operator.add, self.parts_over(n), other.parts_over(n)))

@@ -153,6 +153,31 @@ def raised(field, coeffs, n):
     return [field.zero()] * (n - len(coeffs)) + list(coeffs)
 
 
+def rank_mod_p(rows, p):
+    """The rank over F_p of a matrix given as lists of ints, by Gaussian
+    elimination to row echelon form."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = [v * inv % p for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col]
+            if c:
+                rows[i] = [(v - c * u) % p for v, u in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def valuation(coeffs):
+    """The index of the first nonzero coefficient, or None for zero."""
+    return next((k for k, c in enumerate(coeffs) if c), None)
+
+
 # ----------------------------------------------------------------------
 # the closed pair formulas, on plain lists: w^2 = 2uw - u^2 for normal forms,
 # the 2x2 transition matrix of the duality map, and X^2 = -2wX - w^2 for the

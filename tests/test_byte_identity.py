@@ -9,8 +9,10 @@ written by the code before the fused series kernel, when normal forms and
 the duality maps took a reduction index r, with one line per admissible r
 (2 n_r + 2 >= the level).  The transcript keeps those lines, each now from
 the one relation (w - ŵ)^2 = 0, so the file also pins that every admissible
-r gave the same result.  Regenerate it only for a change that means to
-alter output:
+r gave the same result.  Its ``comp embed:`` lines are the completion map
+x + y w -> comp(x + 2ŵ y; y), checked against the list oracles when they
+were written.  Regenerate the file only for a change that means to alter
+output:
 
     PYTHONPATH=src python tests/test_byte_identity.py > tests/golden/byte_identity.txt
 """

@@ -166,7 +166,7 @@ def test_h1_wrong_arity(capsys):
 def test_complete_embed(capsys):
     code, out, _ = run_cli(capsys, "complete", "embed", "1 + w")
     assert code == 0
-    assert out.strip() == "comp(1 + t^3 + t^7 + t^15;0)"
+    assert out.strip() == "comp(1 + 2t^3 + 2t^7 + 2t^15;1)"
 
 
 def test_complete_nilpotent(capsys):

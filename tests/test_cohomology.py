@@ -43,10 +43,15 @@ def test_make_zero_collapses():
     assert CohomologyClass(RING_Q, f.x, f.y) == k  # built directly, too
 
 
-@pytest.mark.parametrize("x, y, n", [("1", "0", 1), ("1 + t", "2t", 3), ("0", "1", 1), ("t", "1/2", 4)])
+@pytest.mark.parametrize(
+    "x, y, n",
+    [("1", "0", 1), ("1 + t", "2t", 3), ("0", "1", 1), ("t", "1/2", 4), ("-t^3", "1", 5)],
+)
 def test_constructor_cuts_to_least_level(x, y, n):
     """A class built directly from numerators t x, t y over t^(n + 1) is the
-    class of x, y over t^n: the constructor stores the least level."""
+    class of x, y over t^n: the constructor stores the least level.  In
+    gf(-t^3; 1; 5) the stored part x + ŵ y is zero (ŵ = t^3 mod t^5) while
+    x is not, and the level and x read back alike."""
     lower = CohomologyClass(RING_Q, S(x, n), S(y, n))
     raised = CohomologyClass(RING_Q, S(x, n).promote(1), S(y, n).promote(1))
     assert raised == lower == CohomologyClass.make(RING_Q.nf(S(x, n), S(y, n)), n)

@@ -7,7 +7,9 @@ from akizuki import (
     NotInvertibleError,
     PrecisionError,
     RationalField,
+    ResiduePair,
     TruncatedSeries,
+    extract_pair,
     parse_comp,
 )
 from support import RING_P2, RING_P101, RING_Q
@@ -56,10 +58,14 @@ def test_embed_requires_full_precision():
 
 
 def test_embed_golden():
+    """1 + w goes to comp(1 + 2ŵ; 1), the element whose pair reads off
+    omega |-> pair(0;1).forward(omega.act(1 + w))."""
     f = RING_Q.one_nf(N) + RING_Q.w_nf(N)
     c = CompletionElement.embed(f)
-    assert c.sigma.is_zero()
-    assert c.rho == TruncatedSeries.one(QQ, N) + RING_Q.w
+    standard = ResiduePair(RING_Q, TruncatedSeries.zero(QQ, N), TruncatedSeries.one(QQ, N))
+    assert c.pair == extract_pair(RING_Q, lambda omega: standard.forward(omega.act(f)), N)
+    assert c.sigma == TruncatedSeries.one(QQ, N)
+    assert c.rho == TruncatedSeries.one(QQ, N) + RING_Q.w.scale(2)
 
 
 # ----------------------------------------------------------------------

@@ -5,14 +5,17 @@ import random
 import pytest
 
 from akizuki import (
+    AkizukiRing,
     AlgebraError,
     CohomologyClass,
     ContinuousHom,
     LaurentTail,
     NotInvertibleError,
     PrecisionError,
+    PrimeField,
     RationalField,
     ResiduePair,
+    TruncatedSeries,
     extract_pair,
     parse_gf,
     parse_hom,
@@ -22,11 +25,17 @@ from akizuki import (
 from support import (
     RING_Q,
     closed_u,
+    lin,
     lists,
     naive_duality_inverse,
     naive_forward,
+    naive_mul,
+    naive_w,
+    rand_coeff,
     rand_pair,
     rand_series,
+    rank_mod_p,
+    valuation,
 )
 
 QQ = RationalField()
@@ -109,10 +118,14 @@ def test_hom_equivalent_across_levels():
     assert ContinuousHom(RING_Q, zero, zero) == ContinuousHom.zero(RING_Q)
 
 
-@pytest.mark.parametrize("alpha, beta, n", [("1", "0", 1), ("1 + t", "2t", 3), ("0", "1", 2), ("t", "1/2", 4)])
+@pytest.mark.parametrize(
+    "alpha, beta, n",
+    [("1", "0", 1), ("1 + t", "2t", 3), ("0", "1", 2), ("t", "1/2", 4), ("1", "t^3", 5)],
+)
 def test_hom_constructor_cuts_to_least_level(alpha, beta, n):
     """A hom built directly from numerators t alpha, t beta over t^(n + 1)
-    is the hom of alpha, beta over t^n."""
+    is the hom of alpha, beta over t^n.  In hom(5; 1; t^3) the stored part
+    beta - ŵ alpha is zero (ŵ = t^3 mod t^5) while beta is not."""
     a, b = S(alpha, n), S(beta, n)
     lower = ContinuousHom(RING_Q, a, b)
     raised = ContinuousHom(RING_Q, a.promote(1), b.promote(1))
@@ -164,6 +177,73 @@ def test_forward_and_inverse_match_closed_formulas_at_every_level():
         u = closed_u(RING_Q, n)
         want = naive_forward(x, y, sig, rho, u, QQ) + naive_duality_inverse(alpha, beta, sig, rho, u, QQ)
         assert lists(*fwd.raised(n), *back.raised(n)) == list(want), n
+
+
+# ----------------------------------------------------------------------
+# the kernel of the forward map, by exact rank
+
+
+# (v(d), v(sigma)) of each pair, None for zero: invertible pairs (v(d) = 0),
+# then each case of m = min(v(d), v(sigma)) -- below, at and above v(sigma)
+# -- with valuations that the levels below cap and do not cap.
+VALUATIONS = [
+    (0, None), (0, 0), (0, 5),
+    (2, None), (3, 7), (6, 20),
+    (1, 1), (4, 4), (11, 11),
+    (5, 2), (9, 4), (12, 0), (25, 10), (None, 3),
+    (None, None),
+]
+LEVELS = (1, 2, 3, 5, 8, 13, 21, 30)
+
+
+def pair_with_valuations(rng, ring, v_d, v_sigma):
+    """A pair whose sigma and d = rho - ŵ sigma have the given valuations,
+    with rho = d + ŵ sigma from the list oracles."""
+    field, n = ring.field, ring.precision
+
+    def series(v):
+        coeffs = [field.zero()] * n
+        if v is not None:
+            coeffs[v] = rand_coeff(rng, field, nonzero=True)
+            coeffs[v + 1:] = [rand_coeff(rng, field) for _ in range(v + 1, n)]
+        return coeffs
+
+    sigma, d = series(v_sigma), series(v_d)
+    rho = lin(field, (1, d), (1, naive_mul(naive_w(ring, n), sigma, field, n)))
+    return ResiduePair(ring, *(TruncatedSeries(field, tuple(c)) for c in (sigma, rho)))
+
+
+def forward_rows(pair, n):
+    """The matrix of ``pair.forward`` on H[t^n] in the basis gf(t^j;0;n),
+    gf(0;t^j;n), j < n: each image as its hom numerators over t^n."""
+    field = pair.ring.field
+    zero = TruncatedSeries.zero(field, n)
+    rows = []
+    for j in range(n):
+        tj = TruncatedSeries.t_power(field, j, n)
+        for x, y in ((tj, zero), (zero, tj)):
+            alpha, beta = pair.forward(CohomologyClass(pair.ring, x, y)).raised(n)
+            rows.append(list(alpha.coeffs) + list(beta.coeffs))
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 101, 4294967311])
+def test_forward_nullity_matches_the_smith_form(p):
+    """pair.forward on H[t^n] has nullity min(n, m) + min(n, 2a - m), with
+    a = v(d) and m = min(a, v(sigma)), each valuation capped at n: the
+    Smith form over A of [[d, 0], [sigma, d]], the action of
+    d + sigma (w - ŵ) on the two coordinates.  An invertible pair has
+    nullity 0, so its forward map is injective."""
+    ring = AkizukiRing(PrimeField(p), 32)
+    rng = random.Random(f"nullity:{p}")
+    for v_d, v_sigma in VALUATIONS:
+        pair = pair_with_valuations(rng, ring, v_d, v_sigma)
+        assert valuation(pair.sigma.coeffs) == v_sigma and pair.is_invertible() == (v_d == 0)
+        for n in LEVELS:
+            a = min(n, n if v_d is None else v_d)
+            m = min(a, n if v_sigma is None else v_sigma)
+            nullity = 2 * n - rank_mod_p(forward_rows(pair, n), p)
+            assert nullity == min(n, m) + min(n, 2 * a - m), (v_d, v_sigma, n)
 
 
 # ----------------------------------------------------------------------

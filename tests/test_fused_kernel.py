@@ -43,6 +43,7 @@ from support import (
     check_nf,
     closed_u,
     lin,
+    lists,
     naive_mul,
     naive_sum,
     naive_w,
@@ -83,8 +84,8 @@ def test_every_layer_at_full_width(name):
     check_completion(ring, a, b)
     full = ring.nf(rand_dense(rng, field, top), rand_dense(rng, field, top))
     embedded = CompletionElement.embed(full)
-    want = lin(field, (1, list(full.x.coeffs)), (1, naive_mul(list(full.y.coeffs), naive_w(ring, top), field, top)))
-    assert list(embedded.rho.coeffs) == want and embedded.sigma.is_zero()
+    want = lin(field, (1, list(full.x.coeffs)), (2, naive_mul(list(full.y.coeffs), naive_w(ring, top), field, top)))
+    assert lists(embedded.rho, embedded.sigma) == [want, list(full.y.coeffs)]
 
 
 @pytest.mark.parametrize("name", ["fp101-511", "q-127"])
@@ -277,14 +278,16 @@ def test_sparse_terms_make_no_bignum_product(field, big_products):
     rng = random.Random(f"spy:{field}")
     x, y = (rand_dense(rng, field, 511) for _ in "xy")
     u = ring.w_terms
-    assert len(u) == 7 and len(ring.neg_w) == 7
-    terms = ((1, x.coeffs, None), (1, y.coeffs, u), (-1, x.coeffs, ring.neg_w))
+    neg_u = Terms((e, field.neg(c)) for e, c in u)
+    assert len(u) == 7
+    terms = ((1, x.coeffs, None), (1, y.coeffs, u), (-1, x.coeffs, neg_u))
     sparse = _window_mul(field, 511, terms)
     assert big_products == []
     dense = _window_mul(field, 511, ((1, x.coeffs, y.coeffs),))
     assert len(big_products) == 1
     assert sparse == naive_sum(field, 511, terms) and dense == naive_mul(x.coeffs, y.coeffs, field, 511)
-    # the closed completion product: four kernel calls, three bignum products
+    # the two constructors and the closed completion product: two sparse
+    # conversions, then two kernel calls with three bignum products
     big_products.clear()
     CompletionElement(ring, x, y) * CompletionElement(ring, y, x)
     assert len(big_products) == 3

@@ -40,9 +40,10 @@ cohomology.addition
 duality.residue_well_defined duality.residue_linear duality.defining_identity
 duality.roundtrip_class duality.roundtrip_hom duality.pair_additivity
 duality.cm_linearity duality.canonical_levels
-duality.hom_addition duality.forward_additive
+duality.hom_addition duality.forward_additive duality.standard_factorization
 completion.nilpotent completion.comp_axioms completion.closed_vs_composed
-completion.embed_multiplicative completion.endo_extraction
+completion.embed_multiplicative completion.embed_action
+completion.embed_injective completion.endo_extraction
 completion.unit_composition
 """.split()
 

@@ -182,12 +182,13 @@ def test_composition_with_dense_units_matches_the_closed_product(name):
 
 
 def test_packs_per_product_at_511(packs):
-    """Operands packed per product: the closed product and the normal-form
-    product plus inverse are dense throughout, while the composed product
-    relative to comp(1; 0) packs only its dense operands (79 before the
-    screens).  Over F_p Newton inversion starts at 16 coefficients, so the
-    normal-form inverse skips the steps at 1, 2, 4 and 8, two kernel calls
-    of two packs each (54 packs before)."""
+    """Operands packed per product, on the stored parts (a, y): the closed
+    product packs a1 a2 and a1 y2 + a2 y1 (6); the normal-form product plus
+    inverse adds Newton on a (19), i * i and y i^2 (29); and the composed
+    product relative to comp(1; 0) packs only the left factor's forward map
+    on the class it extracts (6), since the probe and the unit screen out.
+    Over F_p Newton inversion starts at 16 coefficients, so the inverse
+    skips the steps at 1, 2, 4 and 8."""
     ring = RINGS["fp101-511"]
     rng = random.Random("packs")
     a, b = comp(rng, ring), comp(rng, ring)
@@ -202,4 +203,4 @@ def test_packs_per_product_at_511(packs):
         packs.clear()
         product()
         counts.append(len(packs))
-    assert counts == [11, 38, 19]
+    assert counts == [6, 29, 6]
