@@ -163,10 +163,8 @@ class AkizukiRing:
         return self.constant_nf(self.field.one(), m)
 
     def w_nf(self, m: int) -> "NormalForm":
-        field = self.field
-        return self.nf(
-            TruncatedSeries.zero(field, m), TruncatedSeries.one(field, m)
-        )
+        """w at level m, stored as (ŵ, 1) mod t^m without a basis conversion."""
+        return NormalForm.from_parts(self, self.w.truncate(m), TruncatedSeries.one(self.field, m))
 
     def generator_nf(self, i: int, m: int) -> "NormalForm":
         """The normal form of the generator g_i = (z_i - a_i)^2 at level m.

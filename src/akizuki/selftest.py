@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cohomology import CohomologyClass
 from .duality import CompletionElement, ContinuousHom, ResiduePair, extract_pair
-from .ring import AkizukiRing
+from .ring import AkizukiRing, NormalForm
 from .series import TruncatedSeries
 
 # ----------------------------------------------------------------------
@@ -71,41 +71,64 @@ def _series(rng, field, precision, unit=False):
 
 
 def _nf(rng, ring: AkizukiRing, level, unit=False):
-    return ring.nf(
-        _series(rng, ring.field, level, unit=unit), _series(rng, ring.field, level)
-    )
+    return ring.nf(_series(rng, ring.field, level, unit=unit), _series(rng, ring.field, level))
 
 
-def _level(rng, ring, low=1, high=None):
-    return rng.randint(low, high if high is not None else ring.precision)
-
-
-def _klass(rng, ring, high=None):
-    n = _level(rng, ring, 1, high)
+def _klass(rng, ring):
+    n = rng.randint(1, ring.precision)
     return CohomologyClass.make(_nf(rng, ring, n), n)
 
 
-def _hom(rng, ring, high=None):
-    n = _level(rng, ring, 1, high)
-    return ContinuousHom.make(
-        ring, _series(rng, ring.field, n), _series(rng, ring.field, n)
-    )
+def _hom(rng, ring):
+    n = rng.randint(1, ring.precision)
+    return ContinuousHom.make(ring, _series(rng, ring.field, n), _series(rng, ring.field, n))
 
 
 def _pair(rng, ring, invertible=True):
-    n = ring.precision
-    return ResiduePair(
-        ring,
-        _series(rng, ring.field, n),
-        _series(rng, ring.field, n, unit=invertible),
-    )
+    n, field = ring.precision, ring.field
+    return ResiduePair(ring, _series(rng, field, n), _series(rng, field, n, unit=invertible))
 
 
-def _comp(rng, ring):
-    n = ring.precision
-    return CompletionElement(
-        ring, _series(rng, ring.field, n), _series(rng, ring.field, n)
-    )
+def _comp(rng, ring, unit=False):
+    n, field = ring.precision, ring.field
+    return CompletionElement(ring, _series(rng, field, n, unit=unit), _series(rng, field, n))
+
+
+# ----------------------------------------------------------------------
+# the laws every type states: each is written here once
+
+
+def _ring_laws(a, b, c, zero, one=None):
+    """The first commutative-ring law a, b, c break, or None: + is associative and
+    commutative, zero = a - a is neutral; given one, so is ×, which distributes."""
+    def laws():  # lazily, so that nothing past the first broken law runs
+        yield (a + b) + c, a + (b + c), "addition is not associative"
+        yield a + b, b + a, "addition is not commutative"
+        yield a + zero, a, "0 is not an additive identity"
+        yield a - a, zero, "a - a is not 0"
+        if one is not None:
+            yield (a * b) * c, a * (b * c), "multiplication is not associative"
+            yield a * b, b * a, "multiplication is not commutative"
+            yield a * (b + c), a * b + a * c, "multiplication does not distribute over addition"
+            yield a * one, a, "1 is not a multiplicative identity"
+
+    return next((broken for lhs, rhs, broken in laws() if lhs != rhs), None)
+
+
+def _additive(what, f, a, b):
+    """None when f(a + b) = f(a) + f(b), else that ``what`` is not additive."""
+    return f"{what} is not additive" if f(a + b) != f(a) + f(b) else None
+
+
+def _homomorphism(what, f, a, b, one, image_one):
+    """None when f is multiplicative, unital, odd and additive, else what fails."""
+    if f(a * b) != f(a) * f(b):
+        return f"{what} is not multiplicative"
+    if f(one) != image_one:
+        return f"{what} does not send 1 to 1"
+    if f(-a) != -f(a):
+        return f"{what} does not respect negation"
+    return _additive(what, f, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -113,24 +136,10 @@ def _comp(rng, ring):
 
 
 def _series_ring_axioms(ring, rng):
-    field = ring.field
     n = rng.randint(1, ring.precision)
-    a, b, c = (_series(rng, field, n) for _ in range(3))
-    if (a + b) + c != a + (b + c):
-        return "addition is not associative"
-    if a + b != b + a:
-        return "addition is not commutative"
-    if (a * b) * c != a * (b * c):
-        return "multiplication is not associative"
-    if a * b != b * a:
-        return "multiplication is not commutative"
-    if a * (b + c) != a * b + a * c:
-        return "distributivity fails"
-    if a + TruncatedSeries.zero(field, n) != a:
-        return "0 is not an additive identity"
-    if a * TruncatedSeries.one(field, n) != a:
-        return "1 is not a multiplicative identity"
-    return None
+    a, b, c = (_series(rng, ring.field, n) for _ in range(3))
+    zero, one = TruncatedSeries.zero(ring.field, n), TruncatedSeries.one(ring.field, n)
+    return _ring_laws(a, b, c, zero, one)
 
 
 def _series_inverse(ring, rng):
@@ -175,9 +184,7 @@ def _tail_vanishing(ring, rng):
 
 def _tail_linearity(ring, rng):
     n = rng.randint(1, ring.precision)
-    f = _series(rng, ring.field, ring.precision)
-    g = _series(rng, ring.field, ring.precision)
-    c = _series(rng, ring.field, ring.precision)
+    f, g, c = (_series(rng, ring.field, ring.precision) for _ in range(3))
     lhs = f.principal_part(n).scaled_by(c) + g.principal_part(n)
     rhs = (c * f + g).principal_part(n)
     if lhs != rhs:
@@ -187,29 +194,25 @@ def _tail_linearity(ring, rng):
 
 def _tail_addition(ring, rng):
     n = rng.randint(1, ring.precision)
-    f = _series(rng, ring.field, ring.precision)
-    g = _series(rng, ring.field, ring.precision)
-    if f.principal_part(n) + g.principal_part(n) != (f + g).principal_part(n):
-        return "tails do not add as their series do"
-    return None
+    f, g = _series(rng, ring.field, ring.precision), _series(rng, ring.field, ring.precision)
+    return _additive(f"the principal part mod t^{n}", lambda s: s.principal_part(n), f, g)
 
 
 # ----------------------------------------------------------------------
 # ring properties
 
 
+def _ring_axioms(ring, rng):
+    m = rng.randint(1, ring.precision)
+    f, g, h = (_nf(rng, ring, m) for _ in range(3))
+    return _ring_laws(f, g, h, ring.constant_nf(ring.field.zero(), m), ring.one_nf(m))
+
+
 def _embedding_hom(ring, rng):
     m = rng.randint(1, ring.precision)
     f, g = _nf(rng, ring, m), _nf(rng, ring, m)
-    if (f + g).embed() != f.embed() + g.embed():
-        return "embedding does not respect addition"
-    if (f * g).embed() != f.embed() * g.embed():
-        return f"embedding does not respect products at level {m}"
-    if (-f).embed() != -f.embed():
-        return "embedding does not respect negation"
-    if ring.one_nf(m).embed() != TruncatedSeries.one(ring.field, m):
-        return f"embedding does not send 1 to 1 at level {m}"
-    return None
+    one = TruncatedSeries.one(ring.field, m)
+    return _homomorphism(f"the embedding at level {m}", NormalForm.embed, f, g, ring.one_nf(m), one)
 
 
 def _inverse_law(ring, rng):
@@ -290,17 +293,10 @@ def _action_compatible(ring, rng):
 
 
 def _bilinearity(ring, rng):
-    omega1 = _klass(rng, ring)
-    omega2 = _klass(rng, ring)
-    f = _nf(rng, ring, ring.precision)
-    lhs = (omega1 + omega2).act(f)
-    rhs = omega1.act(f) + omega2.act(f)
-    if lhs != rhs:
-        return "action is not additive in the class"
-    g = _nf(rng, ring, ring.precision)
-    if omega1.act(f + g) != omega1.act(f) + omega1.act(g):
-        return "action is not additive in the ring element"
-    return None
+    omega1, omega2 = _klass(rng, ring), _klass(rng, ring)
+    f, g = _nf(rng, ring, ring.precision), _nf(rng, ring, ring.precision)
+    in_class = _additive("the action in the class", lambda omega: omega.act(f), omega1, omega2)
+    return in_class or _additive("the action in the ring element", omega1.act, f, g)
 
 
 def _zero_detection(ring, rng):
@@ -316,13 +312,7 @@ def _zero_detection(ring, rng):
 
 def _class_addition(ring, rng):
     a, b, c = _klass(rng, ring), _klass(rng, ring), _klass(rng, ring)
-    if (a + b) + c != a + (b + c):
-        return "class addition is not associative"
-    if a + b != b + a:
-        return "class addition is not commutative"
-    if a + CohomologyClass.zero(ring) != a:
-        return "the zero class is not an additive identity"
-    return None
+    return _ring_laws(a, b, c, CohomologyClass.zero(ring))
 
 
 # ----------------------------------------------------------------------
@@ -378,21 +368,16 @@ def _roundtrip_hom(ring, rng):
 
 
 def _pair_additivity(ring, rng):
-    p1 = _pair(rng, ring, invertible=False)
-    p2 = _pair(rng, ring, invertible=False)
+    p1, p2 = _pair(rng, ring, invertible=False), _pair(rng, ring, invertible=False)
     omega = _klass(rng, ring)
-    if p1.residue(omega) + p2.residue(omega) != (p1 + p2).residue(omega):
-        return "residues are not additive in the pair"
-    if p1.forward(omega) + p2.forward(omega) != (p1 + p2).forward(omega):
-        return "forward maps are not additive in the pair"
-    return None
+    residue = _additive("the residue in the pair", lambda p: p.residue(omega), p1, p2)
+    return residue or _additive("the forward map in the pair", lambda p: p.forward(omega), p1, p2)
 
 
 def _cm_linearity(ring, rng):
     pair = _pair(rng, ring, invertible=False)
     omega = _klass(rng, ring)
-    f = _nf(rng, ring, ring.precision)
-    g = _nf(rng, ring, ring.precision)
+    f, g = _nf(rng, ring, ring.precision), _nf(rng, ring, ring.precision)
     lhs = pair.forward(omega.act(f))(g)
     rhs = pair.forward(omega)(f * g)
     if lhs != rhs:
@@ -414,18 +399,10 @@ def _canonical_levels(ring, rng):
 
 def _hom_addition(ring, rng):
     a, b, c = _hom(rng, ring), _hom(rng, ring), _hom(rng, ring)
-    if (a + b) + c != a + (b + c):
-        return "hom addition is not associative"
-    if a + b != b + a:
-        return "hom addition is not commutative"
-    if a + ContinuousHom.zero(ring) != a:
-        return "the zero hom is not an additive identity"
-    if a - a != ContinuousHom.zero(ring):
-        return "h - h is not the zero hom"
     k = rng.randint(0, min(4, ring.precision - a.level))
     if ContinuousHom(ring, *a.raised(a.level + k)) != a:
         return f"a hom differs from the hom of its numerators times t^{k}"
-    return None
+    return _ring_laws(a, b, c, ContinuousHom.zero(ring))
 
 
 def _standard_forward(omega):
@@ -448,12 +425,9 @@ def _standard_factorization(ring, rng):
 def _forward_additive(ring, rng):
     pair = _pair(rng, ring, invertible=True)
     a, b = _klass(rng, ring), _klass(rng, ring)
-    if pair.forward(a + b) != pair.forward(a) + pair.forward(b):
-        return "forward is not additive in the class"
     h1, h2 = _hom(rng, ring), _hom(rng, ring)
-    if pair.inverse(h1 + h2) != pair.inverse(h1) + pair.inverse(h2):
-        return "inverse is not additive in the hom"
-    return None
+    forward = _additive("forward", pair.forward, a, b)
+    return forward or _additive("inverse", pair.inverse, h1, h2)
 
 
 # ----------------------------------------------------------------------
@@ -461,9 +435,7 @@ def _forward_additive(ring, rng):
 
 
 def _nilpotent(ring, rng):
-    eps = CompletionElement(
-        ring, ring.w, TruncatedSeries.one(ring.field, ring.precision)
-    )
+    eps = CompletionElement(ring, ring.w, TruncatedSeries.one(ring.field, ring.precision))
     if eps.is_zero():
         return "w + X is zero in the completion"
     if not (eps * eps).is_zero():
@@ -473,19 +445,7 @@ def _nilpotent(ring, rng):
 
 def _comp_axioms(ring, rng):
     a, b, c = _comp(rng, ring), _comp(rng, ring), _comp(rng, ring)
-    if (a * b) * c != a * (b * c):
-        return "completion product is not associative"
-    if a * b != b * a:
-        return "completion product is not commutative"
-    if a * (b + c) != a * b + a * c:
-        return "completion product does not distribute"
-    if a * CompletionElement.one(ring) != a:
-        return "comp(1;0) is not a unit element"
-    if a + CompletionElement.zero(ring) != a:
-        return "comp(0;0) is not an additive identity"
-    if not (a - a).is_zero():
-        return "a - a is not zero"
-    return None
+    return _ring_laws(a, b, c, CompletionElement.zero(ring), CompletionElement.one(ring))
 
 
 def _closed_vs_composed(ring, rng):
@@ -500,15 +460,8 @@ def _closed_vs_composed(ring, rng):
 def _embed_multiplicative(ring, rng):
     n = ring.precision
     f, g = _nf(rng, ring, n), _nf(rng, ring, n)
-    lhs = CompletionElement.embed(f * g)
-    rhs = CompletionElement.embed(f) * CompletionElement.embed(g)
-    if lhs != rhs:
-        return "embedding into the completion is not multiplicative"
-    if CompletionElement.embed(f + g) != CompletionElement.embed(f) + CompletionElement.embed(g):
-        return "embedding into the completion is not additive"
-    if CompletionElement.embed(ring.one_nf(n)) != CompletionElement.one(ring):
-        return "embedding into the completion does not send 1 to 1"
-    return None
+    one = CompletionElement.one(ring)
+    return _homomorphism("the completion map", CompletionElement.embed, f, g, ring.one_nf(n), one)
 
 
 def _embed_action(ring, rng):
@@ -540,11 +493,7 @@ def _endo_extraction(ring, rng):
 
 
 def _unit_composition(ring, rng):
-    a, b = _comp(rng, ring), _comp(rng, ring)
-    n = ring.precision
-    unit = CompletionElement(
-        ring, _series(rng, ring.field, n, unit=True), _series(rng, ring.field, n)
-    )
+    a, b, unit = _comp(rng, ring), _comp(rng, ring), _comp(rng, ring, unit=True)
     if a.mul_via_composition(b, unit) * unit != a * b:
         return f"composition relative to {unit} is not a e^-1 b"
     return None
@@ -561,6 +510,7 @@ SUITES = {
         ("tail_addition", _tail_addition),
     ],
     "ring": [
+        ("axioms", _ring_axioms),
         ("embedding_hom", _embedding_hom),
         ("inverse_law", _inverse_law),
         ("generator_consistency", _generator_consistency),

@@ -32,7 +32,7 @@ LAWS = [f"{suite}.{name}" for suite, laws in selftest.SUITES.items() for name, _
 EXPECTED = """
 series.ring_axioms series.inverse series.shift series.tail_stability
 series.tail_vanishing series.tail_linearity series.tail_addition
-ring.embedding_hom ring.inverse_law
+ring.axioms ring.embedding_hom ring.inverse_law
 ring.generator_consistency ring.exponent_growth
 cohomology.raising_invariance cohomology.annihilation
 cohomology.action_compatible cohomology.bilinearity cohomology.zero_detection

@@ -168,6 +168,23 @@ def test_w_square_char_two():
     assert sq.embed() == direct
 
 
+@pytest.mark.parametrize(
+    "ring", [RING_Q, AkizukiRing(PrimeField(101), 511)], ids=["q", "fp:101-511"]
+)
+def test_w_nf_stores_w_hat_without_a_kernel_call(ring, kernel_calls):
+    """w_nf(m) stores (ŵ, 1) directly: no product, the printed pair (0, 1)
+    at every level, and levels outside 1..N raise."""
+    levels = [m for m in (1, 2, 5, 14, 31, 511) if m <= ring.precision]
+    forms = [ring.w_nf(m) for m in levels]
+    assert kernel_calls == []
+    for m, w in zip(levels, forms):
+        field = ring.field
+        assert w == ring.nf(TruncatedSeries.zero(field, m), TruncatedSeries.one(field, m))
+    for m in (0, ring.precision + 1):
+        with pytest.raises(PrecisionError):
+            ring.w_nf(m)
+
+
 def test_unit_inverse_golden():
     one_plus_w = RING_Q.one_nf(6) + RING_Q.w_nf(6)
     inv = one_plus_w.invert()

@@ -1,4 +1,7 @@
-"""The seeded property-suite runner."""
+"""The seeded property-suite runner, and the generic laws it states once
+for every type."""
+
+import operator
 
 import pytest
 
@@ -72,3 +75,87 @@ def _generator_nf_without_top_term(ring, i, m):
 def test_generator_consistency_sees_a_wrong_normal_form(monkeypatch, ring):
     monkeypatch.setattr(AkizukiRing, "generator_nf", _generator_nf_without_top_term)
     assert selftest.check(ring, "ring", "generator_consistency", 0, 40) is not None
+
+
+class Z7:
+    """The integers mod 7.  A test replaces one of the operations ``add``,
+    ``neg`` and ``mul`` on residues to break exactly one law."""
+
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+
+    def __init__(self, v):
+        self.v = v % 7
+
+    def __eq__(self, other):
+        return self.v == other.v
+
+    def __add__(self, other):
+        return type(self)(self.add(self.v, other.v))
+
+    def __neg__(self):
+        return type(self)(self.neg(self.v))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return type(self)(self.mul(self.v, other.v))
+
+
+def z7(*values, **ops):
+    """The values in Z7 with the operations ``ops`` replaced."""
+    cls = type("Z7", (Z7,), {name: staticmethod(op) for name, op in ops.items()})
+    return [cls(v) for v in values]
+
+
+RING_BREAKS = [
+    ({"add": lambda a, b: -(a + b)}, "addition is not associative"),
+    ({"add": lambda a, b: a}, "addition is not commutative"),
+    ({"add": lambda a, b: a + b + 1}, "0 is not an additive identity"),
+    ({"neg": lambda a: a}, "a - a is not 0"),
+    ({"mul": lambda a, b: a * b + 1}, "multiplication is not associative"),
+    ({"mul": lambda a, b: a}, "multiplication is not commutative"),
+    ({"mul": operator.add}, "multiplication does not distribute over addition"),
+    ({"mul": lambda a, b: 2 * a * b}, "1 is not a multiplicative identity"),
+]
+
+
+@pytest.mark.parametrize("ops, broken", RING_BREAKS, ids=[broken for _, broken in RING_BREAKS])
+def test_ring_laws_name_the_one_law_a_type_breaks(ops, broken):
+    a, b, c, zero, one = z7(1, 2, 3, 0, 1, **ops)
+    assert selftest._ring_laws(a, b, c, zero, one) == broken
+    if "mul" in ops:  # without a unit only the group laws are checked
+        assert selftest._ring_laws(a, b, c, zero) is None
+
+
+def test_ring_laws_hold_for_a_lawful_type():
+    a, b, c, zero, one = z7(1, 2, 3, 0, 1)
+    assert selftest._ring_laws(a, b, c, zero, one) is None
+    assert selftest._ring_laws(a, b, c, zero) is None
+
+
+def test_additive_names_the_map_that_does_not_add():
+    a, b, three = z7(1, 2, 3)
+    assert selftest._additive("squaring", lambda x: x * x, a, b) == "squaring is not additive"
+    assert selftest._additive("tripling", lambda x: x * three, a, b) is None
+
+
+HOM_BREAKS = [
+    (lambda x: x + x, "is not multiplicative"),
+    (lambda x: x - x, "does not send 1 to 1"),
+    (lambda x: x * x, "does not respect negation"),
+    (lambda x: x * x * x, "is not additive"),
+]
+
+
+@pytest.mark.parametrize("f, broken", HOM_BREAKS, ids=[broken for _, broken in HOM_BREAKS])
+def test_homomorphism_names_the_one_law_a_map_breaks(f, broken):
+    a, b, one = z7(2, 3, 1)
+    assert selftest._homomorphism("f", f, a, b, one, one) == f"f {broken}"
+
+
+def test_homomorphism_holds_for_the_identity():
+    a, b, one = z7(2, 3, 1)
+    assert selftest._homomorphism("f", lambda x: x, a, b, one, one) is None
