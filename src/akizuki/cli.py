@@ -113,13 +113,15 @@ def _level(args, ring):
     return level
 
 
-def _emit(args, rows, bare=None):
-    """rows: list of (key, value); pretty mode prefers the bare value.
-    Everything is formatted before anything is printed."""
-    if args.output == "machine" or bare is None:
-        print("\n".join(f"{key} = {value}" for key, value in rows))
+def _emit(args, rows, bare):
+    """Print ``str(bare)`` in pretty mode, and in machine mode a ``key =
+    value`` line for each (key, value) of ``rows``, an iterable read only
+    then.  Only the printed text is formatted, all before anything prints."""
+    if args.output == "machine":
+        text = "\n".join(f"{key} = {value}" for key, value in rows)
     else:
-        print(bare)
+        text = str(bare)
+    print(text)
 
 
 def _need(args_list, count, usage):
@@ -131,11 +133,7 @@ def _need(args_list, count, usage):
 def _cmd_nf(args, ring):
     level = _level(args, ring)
     form = eval_nf(parse_expression(args.expr), ring, level)
-    _emit(
-        args,
-        [("X", form.x), ("Y", form.y), ("level", form.level)],
-        bare=str(form),
-    )
+    _emit(args, ((key, getattr(form, key.lower())) for key in ("X", "Y", "level")), bare=form)
     return 0
 
 
@@ -143,7 +141,7 @@ def _cmd_res(args, ring):
     pair = parse_pair(args.pair, ring)
     omega = parse_gf(args.gf, ring)
     tail = pair.residue(omega)
-    _emit(args, [("residue", tail)], bare=str(tail))
+    _emit(args, [("residue", tail)], bare=tail)
     return 0
 
 
@@ -153,7 +151,7 @@ def _cmd_duality(args, ring):
         result = pair.forward(parse_gf(args.arg, ring))
     else:
         result = pair.inverse(parse_hom(args.arg, ring))
-    _emit(args, [("result", result)], bare=str(result))
+    _emit(args, [("result", result)], bare=result)
     return 0
 
 
@@ -162,7 +160,7 @@ def _cmd_hom_eval(args, ring):
     level = _level(args, ring)
     f = eval_nf(parse_expression(args.expr), ring, level)
     value = hom(f)
-    _emit(args, [("value", value)], bare=str(value))
+    _emit(args, [("value", value)], bare=value)
     return 0
 
 
@@ -171,19 +169,19 @@ def _cmd_h1(args, ring):
         raise ParseError(f"--prec applies to h1 act, not h1 {args.query}")
     if args.query == "eq":
         a_text, b_text = _need(args.args, 2, "h1 eq <gf> <gf>")
-        answer = parse_gf(a_text, ring) == parse_gf(b_text, ring)
-        _emit(args, [("equal", str(answer).lower())], bare=str(answer).lower())
+        answer = str(parse_gf(a_text, ring) == parse_gf(b_text, ring)).lower()
+        _emit(args, [("equal", answer)], bare=answer)
     elif args.query == "zero":
         (a_text,) = _need(args.args, 1, "h1 zero <gf>")
-        answer = parse_gf(a_text, ring).is_zero()
-        _emit(args, [("zero", str(answer).lower())], bare=str(answer).lower())
+        answer = str(parse_gf(a_text, ring).is_zero()).lower()
+        _emit(args, [("zero", answer)], bare=answer)
     else:
         expr_text, gf_text = _need(args.args, 2, "h1 act <expr> <gf>")
         omega = parse_gf(gf_text, ring)
         level = _level(args, ring)
         f = eval_nf(parse_expression(expr_text), ring, level)
         result = omega.act(f)
-        _emit(args, [("result", result)], bare=str(result))
+        _emit(args, [("result", result)], bare=result)
     return 0
 
 
@@ -203,7 +201,7 @@ def _cmd_complete(args, ring):
             result = a.mul_via_composition(b, parse_comp(args.unit, ring))
         else:
             result = a * b
-    _emit(args, [("result", result)], bare=str(result))
+    _emit(args, [("result", result)], bare=result)
     return 0
 
 
@@ -211,11 +209,7 @@ def _cmd_extract(args, ring):
     pair = parse_pair(args.pair, ring)
     level = _level(args, ring)
     found = extract_pair(ring, pair.forward, level)
-    _emit(
-        args,
-        [("sigma", found.sigma), ("rho", found.rho), ("level", level)],
-        bare=str(found),
-    )
+    _emit(args, ((key, getattr(found, key)) for key in ("sigma", "rho", "level")), bare=found)
     return 0
 
 

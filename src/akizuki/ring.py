@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from .errors import InstanceError, NotInvertibleError, PrecisionError
 from .series import SeriesPair, Terms, TruncatedSeries, dual_invert, dual_mul
+from .value import Value, set_field
 
 MINIMAL = "minimal"
 
@@ -67,7 +68,8 @@ class AkizukiRing:
         The units a_0 .. a_R (ints accepted); defaults to all ones.
 
     Instances are immutable and shareable; all element types keep a
-    reference to their ring.
+    reference to their ring.  As for ``value.Value``, assigning or deleting
+    an attribute raises AttributeError.
     """
 
     def __init__(self, field, precision: int, exponents=MINIMAL, units=None):
@@ -75,8 +77,8 @@ class AkizukiRing:
             raise InstanceError(
                 f"working precision {precision} outside 2..{MAX_PRECISION}"
             )
-        self.field = field
-        self.precision = precision
+        set_field(self, "field", field)
+        set_field(self, "precision", precision)
 
         if isinstance(exponents, str):
             if exponents != MINIMAL:
@@ -104,7 +106,7 @@ class AkizukiRing:
             raise InstanceError(
                 f"materialized exponent {ns[-1]} must stay below precision {precision}"
             )
-        self.exponents = tuple(ns)
+        set_field(self, "exponents", tuple(ns))
 
         count = len(ns)
         if units is None:
@@ -118,12 +120,15 @@ class AkizukiRing:
             us = us[:count]
         if any(field.is_zero(u) for u in us):
             raise InstanceError("every coefficient a_i must be a unit")
-        self.units = tuple(us)
+        set_field(self, "units", tuple(us))
 
         # Derived data: z and w = t(z - a_0), and w as sparse terms.
-        self.z = self._terms(0, count, precision)
-        self.w = self._terms(1, count, precision).shift(1)
-        self.w_terms = Terms((n_j + 1, a_j) for n_j, a_j in zip(ns[1:], us[1:]) if n_j + 1 < precision)
+        set_field(self, "z", self._terms(0, count, precision))
+        set_field(self, "w", self._terms(1, count, precision).shift(1))
+        w_terms = Terms((n_j + 1, a_j) for n_j, a_j in zip(ns[1:], us[1:]) if n_j + 1 < precision)
+        set_field(self, "w_terms", w_terms)
+
+    __setattr__, __delattr__ = Value.__setattr__, Value.__delattr__
 
     # ------------------------------------------------------------------
     # instance data

@@ -3,9 +3,11 @@
 Each suite re-verifies the laws behind one layer of the library on randomly
 generated data.  ``SUITES`` is the one place a law is written: the
 ``akizuki selftest`` command, the test suite and the acceptance report all
-run it through ``check``.  Case i of a law draws from its own RNG seeded by
-(seed, law, i), so reported counterexamples are stable under re-ordering or
-sharding of the run.
+run it through ``check``.  A law draws its data and yields claims
+(actual, expected, message, *values); ``_first_broken`` compares them in
+order and reports the first broken one.  Case i of a law draws from its own
+RNG seeded by (seed, law, i), so reported counterexamples are stable under
+re-ordering or sharding of the run.
 """
 
 from __future__ import annotations
@@ -95,40 +97,45 @@ def _comp(rng, ring, unit=False):
 
 
 # ----------------------------------------------------------------------
-# the laws every type states: each is written here once
+# claims, and the laws every type states: each is written here once
+
+
+def _first_broken(claims):
+    """The message of the first claim (actual, expected, message, *values)
+    whose actual differs from its expected, formatted with its values only
+    then, or None when every claim holds.  Claims are read lazily, so that
+    nothing past the first broken one runs."""
+    for actual, expected, message, *values in claims:
+        if actual != expected:
+            return message.format(*values)
+    return None
 
 
 def _ring_laws(a, b, c, zero, one=None):
-    """The first commutative-ring law a, b, c break, or None: + is associative and
-    commutative, zero = a - a is neutral; given one, so is ×, which distributes."""
-    def laws():  # lazily, so that nothing past the first broken law runs
-        yield (a + b) + c, a + (b + c), "addition is not associative"
-        yield a + b, b + a, "addition is not commutative"
-        yield a + zero, a, "0 is not an additive identity"
-        yield a - a, zero, "a - a is not 0"
-        if one is not None:
-            yield (a * b) * c, a * (b * c), "multiplication is not associative"
-            yield a * b, b * a, "multiplication is not commutative"
-            yield a * (b + c), a * b + a * c, "multiplication does not distribute over addition"
-            yield a * one, a, "1 is not a multiplicative identity"
-
-    return next((broken for lhs, rhs, broken in laws() if lhs != rhs), None)
+    """The claims that + is associative and commutative on a, b, c, that
+    zero = a - a is neutral, and, given one, that so is ×, which distributes."""
+    yield (a + b) + c, a + (b + c), "addition is not associative"
+    yield a + b, b + a, "addition is not commutative"
+    yield a + zero, a, "0 is not an additive identity"
+    yield a - a, zero, "a - a is not 0"
+    if one is not None:
+        yield (a * b) * c, a * (b * c), "multiplication is not associative"
+        yield a * b, b * a, "multiplication is not commutative"
+        yield a * (b + c), a * b + a * c, "multiplication does not distribute over addition"
+        yield a * one, a, "1 is not a multiplicative identity"
 
 
 def _additive(what, f, a, b):
-    """None when f(a + b) = f(a) + f(b), else that ``what`` is not additive."""
-    return f"{what} is not additive" if f(a + b) != f(a) + f(b) else None
+    """The claim that f(a + b) = f(a) + f(b)."""
+    yield f(a + b), f(a) + f(b), f"{what} is not additive"
 
 
 def _homomorphism(what, f, a, b, one, image_one):
-    """None when f is multiplicative, unital, odd and additive, else what fails."""
-    if f(a * b) != f(a) * f(b):
-        return f"{what} is not multiplicative"
-    if f(one) != image_one:
-        return f"{what} does not send 1 to 1"
-    if f(-a) != -f(a):
-        return f"{what} does not respect negation"
-    return _additive(what, f, a, b)
+    """The claims that f is multiplicative, unital, odd and additive."""
+    yield f(a * b), f(a) * f(b), f"{what} is not multiplicative"
+    yield f(one), image_one, f"{what} does not send 1 to 1"
+    yield f(-a), -f(a), f"{what} does not respect negation"
+    yield from _additive(what, f, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -139,63 +146,52 @@ def _series_ring_axioms(ring, rng):
     n = rng.randint(1, ring.precision)
     a, b, c = (_series(rng, ring.field, n) for _ in range(3))
     zero, one = TruncatedSeries.zero(ring.field, n), TruncatedSeries.one(ring.field, n)
-    return _ring_laws(a, b, c, zero, one)
+    yield from _ring_laws(a, b, c, zero, one)
 
 
 def _series_inverse(ring, rng):
     n = rng.randint(1, ring.precision)
     a = _series(rng, ring.field, n, unit=True)
-    if a * a.invert() != TruncatedSeries.one(ring.field, n):
-        return f"a * a^-1 != 1 for a = {a}"
-    return None
+    yield a * a.invert(), TruncatedSeries.one(ring.field, n), "a * a^-1 != 1 for a = {}", a
 
 
 def _series_shift(ring, rng):
     n = rng.randint(2, ring.precision)
     a = _series(rng, ring.field, n)
     k = rng.randint(1, n - 1)
-    if a.promote(k).shift(-k) != a:
-        return "promote/shift do not invert each other"
+    yield a.promote(k).shift(-k), a, "promote/shift do not invert each other"
     v = a.valuation()
-    if a.promote(k).valuation() != (None if v is None else v + k):
-        return f"promote({k}) does not raise the valuation by {k}"
-    if v is not None and v > 0 and a.shift(-v).valuation() != 0:
-        return "shifting out the valuation did not normalize it"
-    return None
+    raised = None if v is None else v + k
+    yield a.promote(k).valuation(), raised, f"promote({k}) does not raise the valuation by {k}"
+    if v:
+        yield a.shift(-v).valuation(), 0, "shifting out the valuation did not normalize it"
 
 
 def _tail_stability(ring, rng):
     n = rng.randint(1, ring.precision - 1)
     f = _series(rng, ring.field, ring.precision)
-    if f.principal_part(n) != f.shift(1).principal_part(n + 1):
-        return f"principal part not representative-stable for f = {f}"
-    return None
+    stable = f.shift(1).principal_part(n + 1)
+    yield f.principal_part(n), stable, "principal part not representative-stable for f = {}", f
 
 
 def _tail_vanishing(ring, rng):
     n = rng.randint(1, ring.precision)
     f = _series(rng, ring.field, ring.precision)
-    vanished = f.principal_part(n).is_zero()
-    low = f.truncate(n).is_zero()
-    if vanished != low:
-        return f"vanishing criterion failed for f = {f}, n = {n}"
-    return None
+    vanished, low = f.principal_part(n).is_zero(), f.truncate(n).is_zero()
+    yield vanished, low, "vanishing criterion failed for f = {}, n = {}", f, n
 
 
 def _tail_linearity(ring, rng):
     n = rng.randint(1, ring.precision)
     f, g, c = (_series(rng, ring.field, ring.precision) for _ in range(3))
     lhs = f.principal_part(n).scaled_by(c) + g.principal_part(n)
-    rhs = (c * f + g).principal_part(n)
-    if lhs != rhs:
-        return "tail scaling is not A-linear"
-    return None
+    yield lhs, (c * f + g).principal_part(n), "tail scaling is not A-linear"
 
 
 def _tail_addition(ring, rng):
     n = rng.randint(1, ring.precision)
     f, g = _series(rng, ring.field, ring.precision), _series(rng, ring.field, ring.precision)
-    return _additive(f"the principal part mod t^{n}", lambda s: s.principal_part(n), f, g)
+    yield from _additive(f"the principal part mod t^{n}", lambda s: s.principal_part(n), f, g)
 
 
 # ----------------------------------------------------------------------
@@ -205,29 +201,26 @@ def _tail_addition(ring, rng):
 def _ring_axioms(ring, rng):
     m = rng.randint(1, ring.precision)
     f, g, h = (_nf(rng, ring, m) for _ in range(3))
-    return _ring_laws(f, g, h, ring.constant_nf(ring.field.zero(), m), ring.one_nf(m))
+    yield from _ring_laws(f, g, h, ring.constant_nf(ring.field.zero(), m), ring.one_nf(m))
 
 
 def _embedding_hom(ring, rng):
     m = rng.randint(1, ring.precision)
     f, g = _nf(rng, ring, m), _nf(rng, ring, m)
-    one = TruncatedSeries.one(ring.field, m)
-    return _homomorphism(f"the embedding at level {m}", NormalForm.embed, f, g, ring.one_nf(m), one)
+    one, what = TruncatedSeries.one(ring.field, m), f"the embedding at level {m}"
+    yield from _homomorphism(what, NormalForm.embed, f, g, ring.one_nf(m), one)
 
 
 def _inverse_law(ring, rng):
     m = rng.randint(1, ring.precision)
     f = _nf(rng, ring, m, unit=True)
-    inverse = f.invert()
-    if f * inverse != ring.one_nf(m):
-        return f"f * f^-1 != 1 at level {m}"
-    return None
+    yield f * f.invert(), ring.one_nf(m), f"f * f^-1 != 1 at level {m}"
 
 
 def _generator_consistency(ring, rng):
     i = rng.randint(0, max(ring.top_index - 1, 0))
     if i >= ring.top_index:
-        return None
+        return
     cap = 2 * ring.exponents[ring.top_index] + 2 - (2 * ring.exponents[i] + 2)
     m = rng.randint(1, min(cap, ring.precision))
     form = ring.generator_nf(i, m)
@@ -239,20 +232,18 @@ def _generator_consistency(ring, rng):
     drop = 2 * ring.exponents[i] + 2
     a = ring._terms(i + 1, len(ring.exponents), m + drop).shift(1)
     square = a * a
-    if form.embed() != square.shift(-drop):
-        return f"g{i} normal form disagrees with its direct expansion at level {m}"
+    expansion = f"g{i} normal form disagrees with its direct expansion at level {m}"
+    yield form.embed(), square.shift(-drop), expansion
     w_hat = ring._terms(1, len(ring.exponents), m + drop).shift(1)
     x = (square - (a * w_hat).scale(2)).shift(-drop)
-    if (form.x, form.y) != (x, a.scale(2).shift(-drop)):
-        return f"g{i} normal form disagrees with (w - t s_{i})^2 / t^{drop} at level {m}"
-    return None
+    via_square = f"g{i} normal form disagrees with (w - t s_{i})^2 / t^{drop} at level {m}"
+    yield (form.x, form.y), (x, a.scale(2).shift(-drop)), via_square
 
 
 def _exponent_growth(ring, rng):
     for r, n_r in enumerate(ring.exponents):
-        if n_r < 2 ** (r + 1) - 2:
-            return f"exponent n_{r} = {n_r} below the forced growth 2^{r + 1} - 2"
-    return None
+        forced = 2 ** (r + 1) - 2
+        yield n_r < forced, False, f"exponent n_{r} = {n_r} below the forced growth 2^{r + 1} - 2"
 
 
 # ----------------------------------------------------------------------
@@ -264,11 +255,8 @@ def _raising_invariance(ring, rng):
     n = rng.randint(1, ring.precision - k)
     f = _nf(rng, ring, n)
     raised = ring.nf(f.x.promote(k), f.y.promote(k))
-    a = CohomologyClass.make(f, n)
-    b = CohomologyClass.make(raised, n + k)
-    if a != b:
-        return f"class of f/t^{n} differs from t^{k} f/t^{n + k}"
-    return None
+    a, b = CohomologyClass.make(f, n), CohomologyClass.make(raised, n + k)
+    yield a, b, f"class of f/t^{n} differs from t^{k} f/t^{n + k}"
 
 
 def _annihilation(ring, rng):
@@ -278,25 +266,20 @@ def _annihilation(ring, rng):
         TruncatedSeries.t_power(ring.field, n, ring.precision),
         TruncatedSeries.zero(ring.field, ring.precision),
     )
-    if not omega.act(tn).is_zero():
-        return f"t^{n} does not annihilate a class with denominator t^{n}"
-    return None
+    yield omega.act(tn).is_zero(), True, f"t^{n} does not annihilate a class with denominator t^{n}"
 
 
 def _action_compatible(ring, rng):
     omega = _klass(rng, ring)
-    f = _nf(rng, ring, ring.precision)
-    g = _nf(rng, ring, ring.precision)
-    if omega.act(f * g) != omega.act(f).act(g):
-        return "action is not multiplicative"
-    return None
+    f, g = _nf(rng, ring, ring.precision), _nf(rng, ring, ring.precision)
+    yield omega.act(f * g), omega.act(f).act(g), "action is not multiplicative"
 
 
 def _bilinearity(ring, rng):
     omega1, omega2 = _klass(rng, ring), _klass(rng, ring)
     f, g = _nf(rng, ring, ring.precision), _nf(rng, ring, ring.precision)
-    in_class = _additive("the action in the class", lambda omega: omega.act(f), omega1, omega2)
-    return in_class or _additive("the action in the ring element", omega1.act, f, g)
+    yield from _additive("the action in the class", lambda omega: omega.act(f), omega1, omega2)
+    yield from _additive("the action in the ring element", omega1.act, f, g)
 
 
 def _zero_detection(ring, rng):
@@ -305,14 +288,12 @@ def _zero_detection(ring, rng):
     f = _nf(rng, ring, ring.precision)
     shifted = ring.nf(f.x.shift(k).truncate(n), f.y.shift(k).truncate(n))
     omega = CohomologyClass.make(shifted, n)
-    if not omega.is_zero():
-        return f"t^{k}-multiple numerator not detected as zero over t^{n}"
-    return None
+    yield omega.is_zero(), True, f"t^{k}-multiple numerator not detected as zero over t^{n}"
 
 
 def _class_addition(ring, rng):
     a, b, c = _klass(rng, ring), _klass(rng, ring), _klass(rng, ring)
-    return _ring_laws(a, b, c, CohomologyClass.zero(ring))
+    yield from _ring_laws(a, b, c, CohomologyClass.zero(ring))
 
 
 # ----------------------------------------------------------------------
@@ -326,9 +307,7 @@ def _residue_well_defined(ring, rng):
     raised = ring.nf(f.x.promote(1), f.y.promote(1))
     a = pair.residue(CohomologyClass.make(f, n))
     b = pair.residue(CohomologyClass.make(raised, n + 1))
-    if a != b:
-        return "residue differs across representatives"
-    return None
+    yield a, b, "residue differs across representatives"
 
 
 def _residue_linear(ring, rng):
@@ -337,41 +316,35 @@ def _residue_linear(ring, rng):
     a = _series(rng, ring.field, ring.precision)
     lhs = pair.residue(omega1.scaled(a) + omega2)
     rhs = pair.residue(omega1).scaled_by(a) + pair.residue(omega2)
-    if lhs != rhs:
-        return "residue is not A-linear"
-    return None
+    yield lhs, rhs, "residue is not A-linear"
 
 
 def _defining_identity(ring, rng):
     pair = _pair(rng, ring, invertible=False)
     omega = _klass(rng, ring)
     f = _nf(rng, ring, ring.precision)
-    if pair.forward(omega)(f) != pair.residue(omega.act(f)):
-        return "forward hom disagrees with the residue of the acted class"
-    return None
+    yield (pair.forward(omega)(f), pair.residue(omega.act(f)),
+           "forward hom disagrees with the residue of the acted class")
 
 
 def _roundtrip_class(ring, rng):
     pair = _pair(rng, ring, invertible=True)
     omega = _klass(rng, ring)
-    if pair.inverse(pair.forward(omega)) != omega:
-        return f"inverse(forward(omega)) != omega for omega = {omega}"
-    return None
+    back = pair.inverse(pair.forward(omega))
+    yield back, omega, "inverse(forward(omega)) != omega for omega = {}", omega
 
 
 def _roundtrip_hom(ring, rng):
     pair = _pair(rng, ring, invertible=True)
     hom = _hom(rng, ring)
-    if pair.forward(pair.inverse(hom)) != hom:
-        return f"forward(inverse(hom)) != hom for hom = {hom}"
-    return None
+    yield pair.forward(pair.inverse(hom)), hom, "forward(inverse(hom)) != hom for hom = {}", hom
 
 
 def _pair_additivity(ring, rng):
     p1, p2 = _pair(rng, ring, invertible=False), _pair(rng, ring, invertible=False)
     omega = _klass(rng, ring)
-    residue = _additive("the residue in the pair", lambda p: p.residue(omega), p1, p2)
-    return residue or _additive("the forward map in the pair", lambda p: p.forward(omega), p1, p2)
+    yield from _additive("the residue in the pair", lambda p: p.residue(omega), p1, p2)
+    yield from _additive("the forward map in the pair", lambda p: p.forward(omega), p1, p2)
 
 
 def _cm_linearity(ring, rng):
@@ -379,30 +352,24 @@ def _cm_linearity(ring, rng):
     omega = _klass(rng, ring)
     f, g = _nf(rng, ring, ring.precision), _nf(rng, ring, ring.precision)
     lhs = pair.forward(omega.act(f))(g)
-    rhs = pair.forward(omega)(f * g)
-    if lhs != rhs:
-        return "forward map is not C_M-linear in the class"
-    return None
+    yield lhs, pair.forward(omega)(f * g), "forward map is not C_M-linear in the class"
 
 
 def _canonical_levels(ring, rng):
     pair = _pair(rng, ring, invertible=True)
     omega, hom = _klass(rng, ring), _hom(rng, ring)
     level = pair.forward(omega).level
-    if level != omega.exponent:
-        return f"forward sends exponent {omega.exponent} to level {level}"
+    yield level, omega.exponent, f"forward sends exponent {omega.exponent} to level {level}"
     exponent = pair.inverse(hom).exponent
-    if exponent != hom.level:
-        return f"inverse sends level {hom.level} to exponent {exponent}"
-    return None
+    yield exponent, hom.level, f"inverse sends level {hom.level} to exponent {exponent}"
 
 
 def _hom_addition(ring, rng):
     a, b, c = _hom(rng, ring), _hom(rng, ring), _hom(rng, ring)
     k = rng.randint(0, min(4, ring.precision - a.level))
-    if ContinuousHom(ring, *a.raised(a.level + k)) != a:
-        return f"a hom differs from the hom of its numerators times t^{k}"
-    return _ring_laws(a, b, c, ContinuousHom.zero(ring))
+    raised = ContinuousHom(ring, *a.raised(a.level + k))
+    yield raised, a, f"a hom differs from the hom of its numerators times t^{k}"
+    yield from _ring_laws(a, b, c, ContinuousHom.zero(ring))
 
 
 def _standard_forward(omega):
@@ -417,17 +384,16 @@ def _standard_factorization(ring, rng):
     pair = _pair(rng, ring, invertible=False)
     omega = _klass(rng, ring)
     c = ring.nf(pair.rho - (ring.w * pair.sigma).scale(2), pair.sigma)
-    if pair.forward(omega) != _standard_forward(omega.act(c)):
-        return "forward map is not pair(0;1) after the action of (rho - 2 w^ sigma) + sigma w"
-    return None
+    yield (pair.forward(omega), _standard_forward(omega.act(c)),
+           "forward map is not pair(0;1) after the action of (rho - 2 w^ sigma) + sigma w")
 
 
 def _forward_additive(ring, rng):
     pair = _pair(rng, ring, invertible=True)
     a, b = _klass(rng, ring), _klass(rng, ring)
     h1, h2 = _hom(rng, ring), _hom(rng, ring)
-    forward = _additive("forward", pair.forward, a, b)
-    return forward or _additive("inverse", pair.inverse, h1, h2)
+    yield from _additive("forward", pair.forward, a, b)
+    yield from _additive("inverse", pair.inverse, h1, h2)
 
 
 # ----------------------------------------------------------------------
@@ -436,67 +402,59 @@ def _forward_additive(ring, rng):
 
 def _nilpotent(ring, rng):
     eps = CompletionElement(ring, ring.w, TruncatedSeries.one(ring.field, ring.precision))
-    if eps.is_zero():
-        return "w + X is zero in the completion"
-    if not (eps * eps).is_zero():
-        return "(w + X)^2 != 0 in the completion"
-    return None
+    yield eps.is_zero(), False, "w + X is zero in the completion"
+    yield (eps * eps).is_zero(), True, "(w + X)^2 != 0 in the completion"
 
 
 def _comp_axioms(ring, rng):
     a, b, c = _comp(rng, ring), _comp(rng, ring), _comp(rng, ring)
-    return _ring_laws(a, b, c, CompletionElement.zero(ring), CompletionElement.one(ring))
+    yield from _ring_laws(a, b, c, CompletionElement.zero(ring), CompletionElement.one(ring))
 
 
 def _closed_vs_composed(ring, rng):
-    a = _comp(rng, ring)
-    b = _comp(rng, ring)
-    unit = CompletionElement.one(ring)
-    if a.mul_via_composition(b, unit) != a * b:
-        return "operational product disagrees with the closed formula"
-    return None
+    a, b = _comp(rng, ring), _comp(rng, ring)
+    composed = a.mul_via_composition(b, CompletionElement.one(ring))
+    yield composed, a * b, "operational product disagrees with the closed formula"
 
 
 def _embed_multiplicative(ring, rng):
-    n = ring.precision
+    n, embed = ring.precision, CompletionElement.embed
     f, g = _nf(rng, ring, n), _nf(rng, ring, n)
     one = CompletionElement.one(ring)
-    return _homomorphism("the completion map", CompletionElement.embed, f, g, ring.one_nf(n), one)
+    yield from _homomorphism("the completion map", embed, f, g, ring.one_nf(n), one)
 
 
 def _embed_action(ring, rng):
     f = _nf(rng, ring, ring.precision)
     omega = _klass(rng, ring)
-    if CompletionElement.embed(f).pair.forward(omega) != _standard_forward(omega.act(f)):
-        return "embed(f) does not act on classes through pair(0;1) as f does"
-    return None
+    yield (CompletionElement.embed(f).pair.forward(omega), _standard_forward(omega.act(f)),
+           "embed(f) does not act on classes through pair(0;1) as f does")
 
 
 def _embed_injective(ring, rng):
     n, field = ring.precision, ring.field
     f, h = _nf(rng, ring, n), _nf(rng, ring, n, unit=True)
     v = ring.nf(-ring.w, TruncatedSeries.one(field, n))  # w - w^, nonzero mod t^N
-    if CompletionElement.embed(f) == CompletionElement.embed(f + v * h):
-        return "embedding into the completion kills (w - w^) h for a unit h"
-    return None
+    kills = CompletionElement.embed(f) == CompletionElement.embed(f + v * h)
+    yield kills, False, "embedding into the completion kills (w - w^) h for a unit h"
 
 
 def _endo_extraction(ring, rng):
     pair = _pair(rng, ring, invertible=False)
     n = rng.randint(1, ring.precision)
     found = extract_pair(ring, pair.forward, n)
-    if found.sigma != pair.sigma.truncate(n) or found.rho != pair.rho.truncate(n):
-        return f"extraction at level {n} does not recover the pair"
-    if n < ring.precision and extract_pair(ring, pair.forward, n + 1).truncated(n) != found:
-        return f"extraction at levels {n} and {n + 1} disagrees"
-    return None
+    lost = f"extraction at level {n} does not recover the pair"
+    yield found.sigma, pair.sigma.truncate(n), lost
+    yield found.rho, pair.rho.truncate(n), lost
+    if n < ring.precision:
+        again = extract_pair(ring, pair.forward, n + 1).truncated(n)
+        yield again, found, f"extraction at levels {n} and {n + 1} disagrees"
 
 
 def _unit_composition(ring, rng):
     a, b, unit = _comp(rng, ring), _comp(rng, ring), _comp(rng, ring, unit=True)
-    if a.mul_via_composition(b, unit) * unit != a * b:
-        return f"composition relative to {unit} is not a e^-1 b"
-    return None
+    composed = a.mul_via_composition(b, unit) * unit
+    yield composed, a * b, "composition relative to {} is not a e^-1 b", unit
 
 
 SUITES = {
@@ -557,7 +515,7 @@ def check(ring: AkizukiRing, suite: str, name: str, seed: int, count: int):
     as (case, detail), or None when every case holds."""
     law = dict(SUITES[suite])[name]
     for i in range(count):
-        detail = law(ring, random.Random(f"{seed}:{suite}.{name}:{i}"))
+        detail = _first_broken(law(ring, random.Random(f"{seed}:{suite}.{name}:{i}")))
         if detail is not None:
             return i, detail
     return None

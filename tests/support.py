@@ -173,6 +173,26 @@ def rank_mod_p(rows, p):
     return rank
 
 
+def solve_mod_p(rows, rhs, p):
+    """The solution c of rows c = rhs over F_p, for a square matrix of ints
+    that is nonsingular mod p, by Gauss-Jordan elimination; ValueError if
+    the matrix is singular."""
+    n = len(rows)
+    rows = [[v % p for v in row] + [b % p] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            raise ValueError(f"singular matrix: no pivot in column {col}")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        top = rows[col] = [v * inv % p for v in rows[col]]
+        for i in range(n):
+            c = rows[i][col]
+            if i != col and c:
+                rows[i] = [(v - c * u) % p for v, u in zip(rows[i], top)]
+    return [row[n] for row in rows]
+
+
 def valuation(coeffs):
     """The index of the first nonzero coefficient, or None for zero."""
     return next((k for k, c in enumerate(coeffs) if c), None)

@@ -225,6 +225,25 @@ def test_extract(capsys):
     assert out.strip() == "pair(1;1 + t)"
 
 
+# Kernel calls of each command in either output mode: a printed series is
+# converted from its stored basis for the pretty text or for the machine
+# rows, never for both.
+KERNEL_CALLS = [
+    (["nf", "1/(1-t*w) + w^2", "--prec", "14"], 11),
+    (["complete", "mul", "comp(1+t;t)", "comp(2;t^2)"], 5),
+    (["duality", "forward", "pair(1;1+t)", "gf(t;1;3)"], 5),
+    (["extract", "pair(1;1+t)", "--prec", "5"], 2),
+]
+
+
+@pytest.mark.parametrize("output", ["pretty", "machine"])
+@pytest.mark.parametrize("argv, calls", KERNEL_CALLS, ids=[argv[0] for argv, _ in KERNEL_CALLS])
+def test_each_command_formats_only_what_it_prints(capsys, kernel_calls, argv, calls, output):
+    code, out, _ = run_cli(capsys, *argv, "--output", output)
+    assert code == 0 and out
+    assert len(kernel_calls) == calls
+
+
 def test_selftest_ok_and_deterministic(capsys):
     code, first, _ = run_cli(
         capsys, "selftest", "series", "--count", "3", "--output", "machine"

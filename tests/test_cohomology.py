@@ -121,6 +121,12 @@ def test_action_level_guard():
         K("gf(0;1;6)").act(RING_Q.w_nf(5))
 
 
+def test_scaling_by_a_series_below_the_exponent_is_a_precision_error():
+    omega = CohomologyClass.make(RING_Q.one_nf(3), 3)
+    with pytest.raises(PrecisionError):
+        omega.scaled(S("1+t", 2))
+
+
 def test_t_power_annihilates():
     for text in ("gf(1;1;3)", "gf(0;1;1)", "gf(1+t;2t;4)"):
         k = K(text)

@@ -35,6 +35,7 @@ from support import (
     rand_pair,
     rand_series,
     rank_mod_p,
+    solve_mod_p,
     valuation,
 )
 
@@ -109,6 +110,11 @@ def test_hom_evaluation_golden():
 def test_hom_evaluation_level_guard():
     with pytest.raises(PrecisionError):
         H("hom(3;1;0)")(RING_Q.one_nf(2))
+
+
+def test_hom_on_an_element_of_another_ring_is_a_value_error():
+    with pytest.raises(ValueError):
+        H("hom(2;1;t)")(AkizukiRing(QQ, RING_Q.precision).one_nf(2))
 
 
 def test_hom_equivalent_across_levels():
@@ -213,17 +219,23 @@ def pair_with_valuations(rng, ring, v_d, v_sigma):
     return ResiduePair(ring, *(TruncatedSeries(field, tuple(c)) for c in (sigma, rho)))
 
 
+def monomials(field, n):
+    """(t^j, 0) and (0, t^j) mod t^n for j < n: the coordinates of the basis
+    t^j, t^j w of C_M/t^n and of the basis gf(t^j;0;n), gf(0;t^j;n) of H[t^n]."""
+    zero = TruncatedSeries.zero(field, n)
+    for j in range(n):
+        tj = TruncatedSeries.t_power(field, j, n)
+        yield tj, zero
+        yield zero, tj
+
+
 def forward_rows(pair, n):
     """The matrix of ``pair.forward`` on H[t^n] in the basis gf(t^j;0;n),
     gf(0;t^j;n), j < n: each image as its hom numerators over t^n."""
-    field = pair.ring.field
-    zero = TruncatedSeries.zero(field, n)
     rows = []
-    for j in range(n):
-        tj = TruncatedSeries.t_power(field, j, n)
-        for x, y in ((tj, zero), (zero, tj)):
-            alpha, beta = pair.forward(CohomologyClass(pair.ring, x, y)).raised(n)
-            rows.append(list(alpha.coeffs) + list(beta.coeffs))
+    for x, y in monomials(pair.ring.field, n):
+        alpha, beta = pair.forward(CohomologyClass(pair.ring, x, y)).raised(n)
+        rows.append(list(alpha.coeffs) + list(beta.coeffs))
     return rows
 
 
@@ -244,6 +256,37 @@ def test_forward_nullity_matches_the_smith_form(p):
             m = min(a, n if v_sigma is None else v_sigma)
             nullity = 2 * n - rank_mod_p(forward_rows(pair, n), p)
             assert nullity == min(n, m) + min(n, 2 * a - m), (v_d, v_sigma, n)
+
+
+# ----------------------------------------------------------------------
+# the inverse as the solution of the pairing form
+
+
+def residue_coefficient(tail):
+    """The t^-1 coefficient of a principal part."""
+    return tail.coeffs[0] if tail.coeffs else tail.field.zero()
+
+
+@pytest.mark.parametrize("p", [2, 101, 4294967311])
+def test_inverse_solves_the_pairing_form(p):
+    """For an invertible pair, B(f, omega) = the t^-1 coefficient of
+    pair.forward(omega)(f) is nonsingular on C_M/t^n x H[t^n].  An A-linear
+    map into K/A is fixed by the t^-1 coefficients of its values, so a hom
+    h of level <= n is forward(omega) exactly when the coordinates c of
+    omega solve B c = (t^-1 coefficient of h(f_i))_i.  The solved class is
+    pair.inverse(h), reached without inverse's triangular formula."""
+    ring = AkizukiRing(PrimeField(p), 32)
+    field = ring.field
+    rng = random.Random(f"solve:{p}")
+    for n in (1, 3, 5, 8, 12):
+        pair = rand_pair(rng, ring, invertible=True)
+        hom = ContinuousHom(ring, rand_series(rng, field, n), rand_series(rng, field, n))
+        fs = [ring.nf(x, y) for x, y in monomials(field, n)]
+        images = [pair.forward(CohomologyClass(ring, x, y)) for x, y in monomials(field, n)]
+        form = [[residue_coefficient(image(f)) for image in images] for f in fs]
+        c = solve_mod_p(form, [residue_coefficient(hom(f)) for f in fs], p)
+        x, y = TruncatedSeries(field, tuple(c[0::2])), TruncatedSeries(field, tuple(c[1::2]))
+        assert CohomologyClass(ring, x, y) == pair.inverse(hom), n
 
 
 # ----------------------------------------------------------------------

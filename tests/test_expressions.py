@@ -59,6 +59,10 @@ def test_parse_precedence():
     assert parse_expression("-t^2") == Neg(Pow(Atom("t"), 2))
 
 
+def test_trailing_spaces_are_ignored():
+    assert parse_expression("t + w  ") == parse_expression("t + w")
+
+
 def test_parse_errors():
     for bad in ("", "t +", "(t", "t )", "t ^ w", "$", "t t", "1/", "^2"):
         with pytest.raises(ParseError):
@@ -218,3 +222,8 @@ def test_overlong_integer_is_a_parse_error():
         parse_expression("1 + " + "7" * 5000)
     with pytest.raises(ParseError, match="5000 digits"):
         parse_expression("g" + "1" * 5000)
+
+
+def test_evaluating_a_non_node_is_a_type_error():
+    with pytest.raises(TypeError):
+        eval_nf(object(), RING_Q, 4)

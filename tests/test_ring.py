@@ -1,5 +1,7 @@
 """Instance construction, the square-zero relation, generators, and units."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -63,6 +65,28 @@ def test_custom_instance():
     ring = AkizukiRing(QQ, 9, exponents=(0, 3, 8), units=(1, 2, 5))
     assert str(ring.z) == "1 + 2t^3 + 5t^8"
     assert str(ring.w) == "2t^4"  # t^9 falls outside the window
+
+
+RING_ATTRIBUTES = ("field", "precision", "exponents", "units", "z", "w", "w_terms")
+
+
+def test_ring_refuses_assignment_and_deletion():
+    ring = AkizukiRing(QQ, 9, exponents=(0, 3, 8), units=(1, 2, 5))
+    before = {name: getattr(ring, name) for name in RING_ATTRIBUTES}
+    for name in RING_ATTRIBUTES + ("extra",):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(ring, name, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(ring, name)
+    assert {name: getattr(ring, name) for name in RING_ATTRIBUTES} == before
+    assert not hasattr(ring, "extra")
+
+
+def test_ring_copies_and_pickles():
+    for clone in (copy.copy(RING_Q), copy.deepcopy(RING_Q), pickle.loads(pickle.dumps(RING_Q))):
+        assert all(getattr(clone, name) == getattr(RING_Q, name) for name in RING_ATTRIBUTES)
+        with pytest.raises(AttributeError):
+            clone.precision = 4
 
 
 def test_instance_validation():

@@ -1,5 +1,5 @@
-"""The seeded property-suite runner, and the generic laws it states once
-for every type."""
+"""The seeded property-suite runner, the one comparison of its claims, and
+the generic laws it states once for every type."""
 
 import operator
 
@@ -7,6 +7,8 @@ import pytest
 
 from akizuki import AkizukiRing, selftest
 from support import RING_P101, RING_Q
+
+first_broken = selftest._first_broken
 
 
 def collect(ring, suite, seed=0, count=2):
@@ -50,13 +52,32 @@ def test_determinism():
 
 def test_failures_are_reported(monkeypatch):
     def broken(ring, rng):
-        return "simulated failure"
+        yield 0, 1, "simulated failure"
 
     patched = {"series": (("broken_property", broken),)}
     monkeypatch.setattr(selftest, "SUITES", patched)
     ok, lines = collect(RING_Q, "series")
     assert not ok
     assert lines == ["FAIL series.broken_property case=0: simulated failure"]
+
+
+def test_first_broken_formats_only_the_first_broken_claim():
+    class Unprintable:
+        def __str__(self):
+            raise AssertionError("a claim that holds was formatted")
+
+    def claims(seen):
+        yield 1, 1, "holds for {}", Unprintable()
+        seen.append("second")
+        yield 2, 3, "{} != {}", 2, 3
+        seen.append("third")
+        yield 4, 5, "never reached"
+
+    seen = []
+    assert first_broken(claims(seen)) == "2 != 3"
+    assert seen == ["second"]
+    assert first_broken(iter([(1, 1, "holds")])) is None
+    assert first_broken(iter([])) is None
 
 
 def _generator_nf_without_top_term(ring, i, m):
@@ -125,21 +146,23 @@ RING_BREAKS = [
 @pytest.mark.parametrize("ops, broken", RING_BREAKS, ids=[broken for _, broken in RING_BREAKS])
 def test_ring_laws_name_the_one_law_a_type_breaks(ops, broken):
     a, b, c, zero, one = z7(1, 2, 3, 0, 1, **ops)
-    assert selftest._ring_laws(a, b, c, zero, one) == broken
+    assert first_broken(selftest._ring_laws(a, b, c, zero, one)) == broken
     if "mul" in ops:  # without a unit only the group laws are checked
-        assert selftest._ring_laws(a, b, c, zero) is None
+        assert first_broken(selftest._ring_laws(a, b, c, zero)) is None
 
 
 def test_ring_laws_hold_for_a_lawful_type():
     a, b, c, zero, one = z7(1, 2, 3, 0, 1)
-    assert selftest._ring_laws(a, b, c, zero, one) is None
-    assert selftest._ring_laws(a, b, c, zero) is None
+    assert first_broken(selftest._ring_laws(a, b, c, zero, one)) is None
+    assert first_broken(selftest._ring_laws(a, b, c, zero)) is None
 
 
 def test_additive_names_the_map_that_does_not_add():
     a, b, three = z7(1, 2, 3)
-    assert selftest._additive("squaring", lambda x: x * x, a, b) == "squaring is not additive"
-    assert selftest._additive("tripling", lambda x: x * three, a, b) is None
+    assert first_broken(selftest._additive("squaring", lambda x: x * x, a, b)) == (
+        "squaring is not additive"
+    )
+    assert first_broken(selftest._additive("tripling", lambda x: x * three, a, b)) is None
 
 
 HOM_BREAKS = [
@@ -153,9 +176,9 @@ HOM_BREAKS = [
 @pytest.mark.parametrize("f, broken", HOM_BREAKS, ids=[broken for _, broken in HOM_BREAKS])
 def test_homomorphism_names_the_one_law_a_map_breaks(f, broken):
     a, b, one = z7(2, 3, 1)
-    assert selftest._homomorphism("f", f, a, b, one, one) == f"f {broken}"
+    assert first_broken(selftest._homomorphism("f", f, a, b, one, one)) == f"f {broken}"
 
 
 def test_homomorphism_holds_for_the_identity():
     a, b, one = z7(2, 3, 1)
-    assert selftest._homomorphism("f", lambda x: x, a, b, one, one) is None
+    assert first_broken(selftest._homomorphism("f", lambda x: x, a, b, one, one)) is None

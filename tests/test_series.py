@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from akizuki import (
+    CohomologyClass,
     ExactDivisionError,
     LaurentTail,
     NotInvertibleError,
@@ -14,6 +15,7 @@ from akizuki import (
     TruncatedSeries,
     parse_series,
 )
+from support import RING_Q
 
 QQ = RationalField()
 F101 = PrimeField(101)
@@ -129,3 +131,65 @@ def test_fraction_coefficients():
     a = S("1/2 + 3/2*t", precision=3)
     assert a.coeffs[0] == Fraction(1, 2)
     assert a + a == S("1+3*t", precision=3)
+
+
+# ----------------------------------------------------------------------
+# error paths
+
+
+def test_series_without_coefficients_is_a_precision_error():
+    with pytest.raises(PrecisionError):
+        TruncatedSeries(QQ, ())
+
+
+def test_more_coefficients_than_the_precision_is_a_precision_error():
+    with pytest.raises(PrecisionError):
+        TruncatedSeries.from_coeffs(QQ, [1, 2, 3], 2)
+
+
+def test_negative_power_of_t_is_a_value_error():
+    with pytest.raises(ValueError):
+        TruncatedSeries.t_power(QQ, -1, 4)
+
+
+def test_negative_promotion_is_a_value_error():
+    with pytest.raises(ValueError):
+        S("1+t").promote(-1)
+
+
+def test_adding_a_non_series_is_a_type_error():
+    with pytest.raises(TypeError, match="^expected a series, got int$"):
+        S("1+t") + 1
+
+
+def test_adding_a_non_tail_to_a_tail_is_a_type_error():
+    with pytest.raises(TypeError):
+        S("1+t").principal_part(2) + 1
+
+
+def test_tails_over_two_fields_do_not_add():
+    with pytest.raises(PrecisionError):
+        S("1+t").principal_part(2) + S("1+t", F101).principal_part(2)
+
+
+def test_scaling_a_tail_by_a_non_series_is_a_type_error():
+    with pytest.raises(TypeError):
+        S("1+t").principal_part(2).scaled_by(1)
+
+
+@pytest.mark.parametrize("scalar", [S("1", F101), S("1", precision=1)], ids=["field", "precision"])
+def test_scaling_a_tail_by_another_field_or_below_its_depth_is_a_precision_error(scalar):
+    with pytest.raises(PrecisionError):
+        S("1+t").principal_part(2).scaled_by(scalar)
+
+
+def test_adding_a_class_to_a_normal_form_is_a_type_error():
+    omega = CohomologyClass.make(RING_Q.one_nf(3), 3)
+    with pytest.raises(TypeError, match="^expected a NormalForm, got CohomologyClass$"):
+        RING_Q.one_nf(3) + omega
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+def test_zero_has_no_inverse_in_the_field(field):
+    with pytest.raises(NotInvertibleError):
+        field.inv(field.zero())
