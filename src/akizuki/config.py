@@ -28,8 +28,8 @@ def parse_field_spec(spec: str):
         return RationalField()
     m = re.fullmatch(r"fp:(\d+)", spec)
     if m:
-        try:
-            return PrimeField(int(m.group(1)))
+        try:  # a ParseError from parse_int passes through with its own text
+            return PrimeField(parse_int(m.group(1)))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown field spec {spec!r} (expected 'q' or 'fp:<prime>')")

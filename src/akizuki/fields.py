@@ -3,14 +3,12 @@
 Series coefficients live in an exact field with decidable equality: either
 the rationals (backed by fractions.Fraction) or the integers modulo a prime.
 Field objects are lightweight immutable descriptors; element values are plain
-Fraction or int objects, and all arithmetic on them is routed through the
-descriptor so that the series layer stays field-agnostic.  Three hooks
-work on a whole window of values at once:
+Fraction or int objects, always canonical (over F_p an int in [0, p)), so
+zero is falsy and one equals the int 1, and code reads them directly.  A
+descriptor works on single values (make, parse, print, add, negate and
+invert); window arithmetic is the series kernel's (``series._window_mul``),
+which reaches the values through two hooks:
 
-- ``pointwise(op, *windows)`` applies an exact integer or Fraction
-  operation coefficient by coefficient and returns canonical values (over
-  F_p one ``% p`` per result, over Q the results themselves), so series
-  sums, differences, negation and scaling make one call per window;
 - ``to_ints(values)`` gives integers n_i over one common denominator d,
   with the least and the largest n_i (over F_p simply 0 and p - 1, with no
   scan), for the packed series kernel;
@@ -121,14 +119,6 @@ class RationalField(Value):
             raise NotInvertibleError("0 has no inverse")
         return 1 / Fraction(a)
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def pointwise(self, op, *windows) -> tuple:
-        """op applied coefficient by coefficient (Fraction arithmetic is
-        already canonical), in a tuple built at its exact size."""
-        return tuple([*map(op, *windows)])
-
     def to_ints(self, values):
         """Integers n_i, one denominator d with values[i] = n_i / d, and the
         least and the largest n_i."""
@@ -205,14 +195,6 @@ class PrimeField(Value):
             raise NotInvertibleError(f"0 has no inverse mod {self.p}")
         return pow(a, -1, self.p)
 
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def pointwise(self, op, *windows) -> tuple:
-        """op applied coefficient by coefficient, reduced mod p."""
-        p = self.p
-        return tuple([v % p for v in map(op, *windows)])
-
     def to_ints(self, values):
         """The values themselves over the denominator 1; they lie in [0, p)."""
         return values, 1, 0, self.p - 1
@@ -230,7 +212,7 @@ class PrimeField(Value):
         value = self.from_int(parse_int(num))
         if den:
             den = self.from_int(parse_int(den))
-            if self.is_zero(den):
+            if not den:
                 raise ParseError(
                     f"denominator of {text!r} is zero mod {self.p}"
                 )

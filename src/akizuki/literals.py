@@ -71,7 +71,7 @@ def parse_tail(text: str, field) -> LaurentTail:
     deep: dict[int, object] = {}
     for exponent, coeff in _scan_terms(text, field):
         if exponent >= 0:
-            if field.is_zero(coeff):
+            if not coeff:
                 continue
             raise ParseError(
                 f"tail terms carry negative exponents, got t^{exponent}"

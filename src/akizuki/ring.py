@@ -118,7 +118,7 @@ class AkizukiRing:
                     f"need {count} units a_0..a_{count - 1}, got {len(us)}"
                 )
             us = us[:count]
-        if any(field.is_zero(u) for u in us):
+        if not all(us):
             raise InstanceError("every coefficient a_i must be a unit")
         set_field(self, "units", tuple(us))
 
@@ -186,7 +186,7 @@ class AkizukiRing:
         """
         drop = self._generator_drop(i, m)
         need = m + drop
-        d = (self._terms(1, len(self.exponents), need) - self._terms(1, i + 1, need)).shift(1)
+        d = self._terms(i + 1, len(self.exponents), need).shift(1)
         return NormalForm.from_parts(self, (d * d).shift(-drop), d.scale(2).shift(-drop))
 
     def _generator_drop(self, i: int, m: int) -> int:

@@ -21,21 +21,22 @@ value.  Over F_p a long window makes no Python call per coefficient: a
 series caches its values as bytes (``_lanes``), operands pack from them,
 and the sum is reduced mod p on the packed integer, which also yields the
 result's bytes; ``_window_mul`` says how wide a slot is and how.  ``fused``
-is the kernel on series: a product is its one-term case, and the dual-number
-helpers, the duality maps and the basis conversion make one call per result
-series.  ``fused`` first screens its terms, so exact 0 and 1 operands (the
-standard unit comp(1; 0), the probes gf(1; 0; N), 1 and w)
-stay out of the kernel: a zero factor drops its term, a factor 1 drops its
-product, and a sum left with no term or with the single term +a makes no
-kernel call.
+is the kernel on series and the only place windows of values combine: a
+product is its one-term case, a sum, difference or negation its terms
+(+-1, a), a scalar multiple one term with the one-pair ``Terms`` ((0, c),),
+and the dual-number helpers, the duality maps and the basis conversion make
+one call per result series.  ``fused`` first screens its terms, so exact 0
+and 1 operands (the standard unit comp(1; 0), the probes gf(1; 0; N), 1 and
+w) stay out of the kernel: a zero factor drops its term, a factor 1 drops
+its product, and a sum left with no term or with the single term +a makes
+no kernel call.  The screens, like every test of a value, read canonical
+values directly: zero is falsy and one equals the int 1.
 Inversion is Newton iteration g <- g + g (1 - f g) on the same kernel,
 doubling the known window each step, so it costs a few products instead of
 O(N^2) field operations (R. P. Brent and H. T. Kung, "Fast algorithms for
 manipulating formal power series", J. ACM 1978); it starts past the zero
 coefficients that follow f_0, so a constant costs one field inversion, and
 over F_p from the schoolbook recurrence for its first coefficients.
-Sums, differences, negation and scaling of whole series go through one
-field call per window (``field.pointwise``).
 
 A LaurentTail models a finite principal part sum_{j>=1} d_j t^{-j}, i.e. the
 class of a fraction f/t^n modulo integral series.  One type serves all three
@@ -49,7 +50,7 @@ dual numbers (``dual_mul``, ``dual_invert``).  ``FractionPair`` refines it
 for two numerators over t^n modulo t^n, the cohomology classes and
 continuous homs: its constructor cuts both numerators to their least level,
 so every value is canonical and ``==`` is the one equality; raising and
-addition across levels are written there once.
+addition and subtraction across levels are written there once.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import operator
 import sys
 from array import array
 from functools import lru_cache
-from itertools import compress, islice, repeat, zip_longest
+from itertools import compress, islice
 
 from .errors import ExactDivisionError, NotInvertibleError, PrecisionError
 from .value import Value, bind, set_field
@@ -164,17 +165,14 @@ class TruncatedSeries(Value):
         return len(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_unit(self) -> bool:
-        return not self.field.is_zero(self.coeffs[0])
+        return bool(self.coeffs[0])
 
     def valuation(self) -> int | None:
         """t-adic valuation within the window; None for the zero window."""
-        for i, c in enumerate(self.coeffs):
-            if not self.field.is_zero(c):
-                return i
-        return None
+        return next(compress(range(self.precision), self.coeffs), None)
 
     # ------------------------------------------------------------------
     # precision moves
@@ -205,7 +203,7 @@ class TruncatedSeries(Value):
         d = -k
         if d >= n:
             raise PrecisionError(f"no precision left after dividing by t^{d}")
-        if any(not field.is_zero(c) for c in self.coeffs[:d]):
+        if any(self.coeffs[:d]):
             raise ExactDivisionError(f"series is not divisible by t^{d}")
         return TruncatedSeries(field, self.coeffs[d:])
 
@@ -234,26 +232,20 @@ class TruncatedSeries(Value):
             )
 
     def __add__(self, other):
-        self._compat(other)
-        return TruncatedSeries(
-            self.field, self.field.pointwise(operator.add, self.coeffs, other.coeffs)
-        )
+        return fused((1, self), (1, other))
 
     def __sub__(self, other):
-        self._compat(other)
-        return TruncatedSeries(
-            self.field, self.field.pointwise(operator.sub, self.coeffs, other.coeffs)
-        )
+        return fused((1, self), (-1, other))
 
     def __neg__(self):
-        return TruncatedSeries(self.field, self.field.pointwise(operator.neg, self.coeffs))
+        return fused((-1, self))
 
     def scale(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by the field scalar c (ints convert)."""
-        field = self.field
+        """Multiply every coefficient by the field scalar c (ints convert),
+        as the product by the one-term sparse series c."""
         if isinstance(c, int):
-            c = field.from_int(c)
-        return TruncatedSeries(field, field.pointwise(operator.mul, repeat(c), self.coeffs))
+            c = self.field.from_int(c)
+        return fused((1, self, Terms(((0, c),))))
 
     def __mul__(self, other):
         return fused((1, self, other))
@@ -301,9 +293,7 @@ class TruncatedSeries(Value):
     # ------------------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = [
-            (e, c) for e, c in enumerate(self.coeffs) if not self.field.is_zero(c)
-        ]
+        terms = [(e, c) for e, c in enumerate(self.coeffs) if c]
         return format_terms(self.field, terms)
 
     def __repr__(self) -> str:
@@ -315,14 +305,15 @@ class LaurentTail(Value):
 
     ``coeffs`` holds d_1 .. d_depth.  The constructor drops vanishing
     deepest coefficients, so the stored ``coeffs`` end with a nonzero entry
-    (or are empty for the zero tail).
+    (or are empty for the zero tail).  Tails add as their numerators over
+    t^depth, in the series kernel.
     """
 
     __slots__ = _fields = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        is_zero, depth = field.is_zero, len(coeffs)
-        while depth and is_zero(coeffs[depth - 1]):
+        depth = len(coeffs)
+        while depth and not coeffs[depth - 1]:
             depth -= 1
         set_field(self, "field", field)
         set_field(self, "coeffs", coeffs[:depth] if depth < len(coeffs) else coeffs)
@@ -341,11 +332,8 @@ class LaurentTail(Value):
     def __add__(self, other):
         if not isinstance(other, LaurentTail):
             return NotImplemented
-        if other.field != self.field:
-            raise PrecisionError("coefficient fields differ")
-        field = self.field
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=field.zero())
-        return LaurentTail(field, tuple(field.add(a, b) for a, b in pairs))
+        n = max(self.depth, other.depth, 1)
+        return (self.numerator(n) + other.numerator(n)).principal_part(n)
 
     def numerator(self, n: int) -> TruncatedSeries:
         """The series g with self = class of g / t^n (requires depth <= n)."""
@@ -373,7 +361,7 @@ class LaurentTail(Value):
         terms = [
             (-j, self.coeffs[j - 1])
             for j in range(self.depth, 0, -1)
-            if not self.field.is_zero(self.coeffs[j - 1])
+            if self.coeffs[j - 1]
         ]
         return format_terms(self.field, terms)
 
@@ -793,12 +781,18 @@ class SeriesPair(Value):
     def __neg__(self):
         return self.from_parts(self.ring, *(-part for part in self.parts))
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """The sum, or for sign -1 the difference: one kernel call a part."""
         self._compat(other)
-        return self.from_parts(self.ring, *map(operator.add, self.parts, other.parts))
+        pairs = zip(*self._aligned(other))
+        return self.from_parts(self.ring, *(fused((1, a), (sign, b)) for a, b in pairs))
 
     def __sub__(self, other):
-        return self + -other
+        return self.__add__(other, -1)
+
+    def _aligned(self, other):
+        """The stored parts of both values, where they add."""
+        return self.parts, other.parts
 
 
 class FractionPair(SeriesPair):
@@ -808,15 +802,15 @@ class FractionPair(SeriesPair):
     The level n is the numerators' precision.  Every value is stored at its
     least level, with t cancelled from both parts while both share it (t
     divides ŵ, so the printed parts share it too) and n exceeds 1, so equal
-    fractions are equal values however they are built.  ``+`` works at the
-    larger of two levels.
+    fractions are equal values however they are built.  ``+`` and ``-``
+    work at the larger of two levels.
     """
 
     __slots__ = ()
 
     def _store(self, x, y):
-        is_zero, k = x.field.is_zero, 0
-        while k < x.precision - 1 and is_zero(x.coeffs[k]) and is_zero(y.coeffs[k]):
+        k = 0
+        while k < x.precision - 1 and not x.coeffs[k] and not y.coeffs[k]:
             k += 1
         if k:
             x, y = x.shift(-k), y.shift(-k)
@@ -838,8 +832,7 @@ class FractionPair(SeriesPair):
         """The two printed numerators over the larger denominator t^n."""
         return tuple(self._moved(self.parts_over(n), -1))
 
-    def __add__(self, other):
-        """The sum at the larger level (so is the inherited difference)."""
-        self._compat(other)
+    def _aligned(self, other):
+        """The stored parts of both values at the larger level."""
         n = max(self.level, other.level)
-        return self.from_parts(self.ring, *map(operator.add, self.parts_over(n), other.parts_over(n)))
+        return self.parts_over(n), other.parts_over(n)

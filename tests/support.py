@@ -143,6 +143,12 @@ def naive_eval(node, ring, m):
     return naive_mul(left, naive_inv(right, field, m), field, m)
 
 
+def reduce_mod_p(values, p):
+    """Rationals n/d, with d prime to p, as n d^-1 mod p, on plain ints: the
+    ring map from them onto F_p."""
+    return [Fraction(v).numerator * pow(Fraction(v).denominator, -1, p) % p for v in values]
+
+
 def lists(*series):
     """The coefficient lists of series."""
     return [list(s.coeffs) for s in series]
@@ -153,44 +159,96 @@ def raised(field, coeffs, n):
     return [field.zero()] * (n - len(coeffs)) + list(coeffs)
 
 
-def rank_mod_p(rows, p):
-    """The rank over F_p of a matrix given as lists of ints, by Gaussian
-    elimination to row echelon form."""
+def row_reduce_mod_p(rows, p):
+    """The reduced row echelon form over F_p of a matrix of ints with at
+    least one row, by Gauss-Jordan elimination, and its pivot columns."""
     rows = [[v % p for v in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+    pivots = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        top = [v * inv % p for v in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            c = rows[i][col]
-            if c:
-                rows[i] = [(v - c * u) % p for v, u in zip(rows[i], top)]
-        rank += 1
-    return rank
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        top = rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if i != r and c:
+                rows[i] = [(v - c * u) % p for v, u in zip(row, top)]
+        pivots.append(col)
+    return rows, pivots
+
+
+def rank_mod_p(rows, p):
+    """The rank over F_p of a matrix given as lists of ints."""
+    return len(row_reduce_mod_p(rows, p)[1]) if rows else 0
 
 
 def solve_mod_p(rows, rhs, p):
     """The solution c of rows c = rhs over F_p, for a square matrix of ints
-    that is nonsingular mod p, by Gauss-Jordan elimination; ValueError if
-    the matrix is singular."""
+    that is nonsingular mod p; ValueError if the matrix is singular."""
     n = len(rows)
-    rows = [[v % p for v in row] + [b % p] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col]), None)
-        if pivot is None:
-            raise ValueError(f"singular matrix: no pivot in column {col}")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = pow(rows[col][col], -1, p)
-        top = rows[col] = [v * inv % p for v in rows[col]]
-        for i in range(n):
-            c = rows[i][col]
-            if i != col and c:
-                rows[i] = [(v - c * u) % p for v, u in zip(rows[i], top)]
-    return [row[n] for row in rows]
+    reduced, pivots = row_reduce_mod_p([list(row) + [b] for row, b in zip(rows, rhs)], p)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n] for row in reduced]
+
+
+def nullspace_mod_p(rows, p):
+    """A basis of the vectors c with rows c = 0 over F_p, one per column
+    without a pivot, read off the reduced row echelon form."""
+    reduced, pivots = row_reduce_mod_p(rows, p)
+    basis = []
+    for free in sorted(set(range(len(reduced[0]))) - set(pivots)):
+        c = [0] * len(reduced[0])
+        c[free] = 1
+        for r, col in enumerate(pivots):
+            c[col] = -reduced[r][free] % p
+        basis.append(c)
+    return basis
+
+
+def commutant_mod_p(mats, p):
+    """A basis of the m x m matrices X over F_p with X A = A X for every
+    m x m matrix A in ``mats`` (lists of rows), each X as its rows."""
+    m = len(mats[0])
+    equations = []
+    for a in mats:
+        for i in range(m):
+            for j in range(m):  # (X A - A X)[i][j] over the unknowns X[i][k] at i m + k
+                row = [0] * (m * m)
+                for k in range(m):
+                    row[i * m + k] += a[k][j]
+                    row[k * m + j] -= a[i][k]
+                equations.append(row)
+    return [[c[i * m : (i + 1) * m] for i in range(m)] for c in nullspace_mod_p(equations, p)]
+
+
+def action_rows(ring, n):
+    """The matrices of t and of w on H[t^n], from the list oracles, in the
+    basis gf(t^j;0;n), gf(0;t^j;n), j < n (``coordinates``): row k of each
+    is the image of basis vector k, so a class with coordinates v goes to
+    v M.  t acts as (x, y) -> (t x, t y) and w as (x, y) -> (-u^2 y,
+    x + 2 u y), for u = ``naive_w``, all mod t^n."""
+    field = ring.field
+    u = naive_w(ring, n)
+    uu = naive_mul(u, u, field, n)
+    t_rows, w_rows = [], []
+    for j in range(n):
+        tj = [field_value(field, int(i == j)) for i in range(n)]
+        zero = [field_value(field, 0)] * n
+        for x, y in ((tj, zero), (zero, tj)):
+            t_rows.append(coordinates([0] + x[:-1], [0] + y[:-1]))
+            w_rows.append(coordinates(lin(field, (-1, naive_mul(uu, y, field, n))),
+                                      lin(field, (1, x), (2, naive_mul(u, y, field, n)))))
+    return t_rows, w_rows
+
+
+def coordinates(x, y):
+    """The coordinates x_0, y_0, x_1, y_1, ... of gf(x;y;n) in the basis
+    gf(t^j;0;n), gf(0;t^j;n), from its two numerator lists over t^n."""
+    return [c for pair in zip(x, y) for c in pair]
 
 
 def valuation(coeffs):

@@ -227,17 +227,21 @@ def test_extract(capsys):
 
 # Kernel calls of each command in either output mode: a printed series is
 # converted from its stored basis for the pretty text or for the machine
-# rows, never for both.
+# rows, never for both.  A sum or difference of normal forms is one call per
+# part that screening leaves, and each generator g_i two (d^2 and 2d).
 KERNEL_CALLS = [
-    (["nf", "1/(1-t*w) + w^2", "--prec", "14"], 11),
+    (["nf", "1/(1-t*w) + w^2", "--prec", "14"], 15),
     (["complete", "mul", "comp(1+t;t)", "comp(2;t^2)"], 5),
     (["duality", "forward", "pair(1;1+t)", "gf(t;1;3)"], 5),
     (["extract", "pair(1;1+t)", "--prec", "5"], 2),
+    (["nf", "g1 + g2"], 7),
 ]
 
 
 @pytest.mark.parametrize("output", ["pretty", "machine"])
-@pytest.mark.parametrize("argv, calls", KERNEL_CALLS, ids=[argv[0] for argv, _ in KERNEL_CALLS])
+@pytest.mark.parametrize(
+    "argv, calls", KERNEL_CALLS, ids=["nf", "complete", "duality", "extract", "generators"]
+)
 def test_each_command_formats_only_what_it_prints(capsys, kernel_calls, argv, calls, output):
     code, out, _ = run_cli(capsys, *argv, "--output", output)
     assert code == 0 and out
@@ -560,6 +564,15 @@ def test_overlong_integer_is_parse_error(capsys, argv):
     assert out == ""
     assert err.count("\n") == 1
     assert "5000 digits" in err
+
+
+@pytest.mark.parametrize("source", ["option", "config"])
+def test_overlong_field_prime_is_parse_error(tmp_path, capsys, source):
+    conf = tmp_path / "big.cfg"
+    conf.write_text(f"field = fp:{BIG}\n")
+    argv = ("--field", f"fp:{BIG}") if source == "option" else ("--config", str(conf))
+    code, out, err = run_cli(capsys, "nf", "t", *argv)
+    assert (code, out, err) == (2, "", "parse error: integer with 5000 digits is too long\n")
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,10 @@ from akizuki import (
 )
 from support import (
     RING_Q,
+    action_rows,
     closed_u,
+    commutant_mod_p,
+    coordinates,
     lin,
     lists,
     naive_duality_inverse,
@@ -287,6 +290,65 @@ def test_inverse_solves_the_pairing_form(p):
         c = solve_mod_p(form, [residue_coefficient(hom(f)) for f in fs], p)
         x, y = TruncatedSeries(field, tuple(c[0::2])), TruncatedSeries(field, tuple(c[1::2]))
         assert CohomologyClass(ring, x, y) == pair.inverse(hom), n
+
+
+# ----------------------------------------------------------------------
+# the commutant and the socle of H[t^n], by exact rank
+
+
+def act_rows(ring, n):
+    """The matrices of t and of w on H[t^n] that the library's ``act``
+    gives, in the rows and basis of ``support.action_rows``."""
+    field = ring.field
+    t = ring.nf(TruncatedSeries.t_power(field, 1, n), TruncatedSeries.zero(field, n))
+    rows = ([], [])
+    for x, y in monomials(field, n):
+        omega = CohomologyClass(ring, x, y)
+        for out, f in zip(rows, (t, ring.w_nf(n))):
+            out.append(coordinates(*lists(*omega.act(f).raised(n))))
+    return rows
+
+
+def socle_dimension(t_rows, w_rows, p):
+    """The dimension of the classes v with v T = v W = 0."""
+    return len(t_rows) - rank_mod_p([a + b for a, b in zip(t_rows, w_rows)], p)
+
+
+@pytest.mark.parametrize("exponents", ["minimal", (0, 3, 8, 18, 38)], ids=["minimal", "explicit"])
+@pytest.mark.parametrize("p", [2, 101, 4294967311])
+def test_commutant_and_socle_of_the_torsion_classes(p, exponents):
+    """By Matlis duality End(H[t^n]) is C_M/t^n, of dimension 2n: the
+    k-linear maps of H[t^n] that commute with t and w form a space of
+    dimension 2n.  C_M/t^n = A/t^n[v]/(v^2) has the socle k t^(n-1) v, so
+    H[t^n] has a socle of dimension 1, the classes that t and w both kill
+    (C_M is Gorenstein).  Both hold for the oracle matrices and for the
+    library's ``act``.  A random map M of the commutant is the composite
+    omega -> E.inverse(P.forward(omega)) for E = pair(t;1 + t) and the P that
+    ``extract_pair`` reads off E.forward after M."""
+    ring = AkizukiRing(PrimeField(p), 40, exponents)
+    field, rng = ring.field, random.Random(f"commutant:{p}:{exponents}")
+    unit = parse_pair("pair(t;1 + t)", ring)
+
+    def klass(v):
+        return CohomologyClass(ring, *(TruncatedSeries(field, tuple(v[k::2])) for k in (0, 1)))
+
+    for n in (1, 2, 3, 5, 8):
+        oracle, library = action_rows(ring, n), act_rows(ring, n)
+        basis = commutant_mod_p(oracle, p)
+        assert len(basis) == len(commutant_mod_p(library, p)) == 2 * n, n
+        assert socle_dimension(*oracle, p) == socle_dimension(*library, p) == 1, n
+        weights = [rng.randrange(p) for _ in basis]
+        m = [[sum(c * b[i][j] for c, b in zip(weights, basis)) % p for j in range(2 * n)]
+             for i in range(2 * n)]
+
+        def apply(omega):  # the class with coordinates v M, for v those of omega
+            v = coordinates(*lists(*omega.raised(n)))
+            return klass([sum(a * b for a, b in zip(v, col)) % p for col in zip(*m)])
+
+        found = extract_pair(ring, lambda omega: unit.forward(apply(omega)), n)
+        for x, y in monomials(field, n):
+            omega = CohomologyClass(ring, x, y)
+            assert unit.inverse(found.forward(omega)) == apply(omega), n
 
 
 # ----------------------------------------------------------------------

@@ -248,23 +248,33 @@ def test_non_unit_has_no_inverse(field):
 # whole-window linear operations
 
 
-@pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
+@pytest.mark.parametrize(
+    "field", SMALL_FIELDS + [PrimeField(2147483647), PRIME_FIELDS["fp60bit"]], ids=str
+)
 def test_linear_ops_match_coefficientwise(field):
+    """Sums, differences, negation and scalar multiples, each a kernel call,
+    against coefficient-by-coefficient sums: on random operands, operands
+    with every coefficient -1 (p - 1 over F_p, the largest value) and the
+    zero series, by the scalars 0, 1, -1, -3, a fraction and a random one,
+    at lengths on both sides of the short-window rule and up to 1023."""
     rng = random.Random(f"linear:{field}")
-    for n in (1, 2, 31, 127):
+    zero, top = field_value(field, 0), field_value(field, -1)
+    scalars = (zero, field_value(field, 1), top, field.parse("-5/7"), -3)
+    for n in (1, 2, 31, 64, 65, 127, 511, 1023):
         a, b = (rand_coeffs(rng, field, n, bits=70) for _ in "ab")
         c = rand_coeffs(rng, field, 1)[0]
-        sa, sb = series(field, a), series(field, b)
-        for got, want in (
-            (sa + sb, [field_value(field, x + y) for x, y in zip(a, b)]),
-            (sa - sb, [field_value(field, x - y) for x, y in zip(a, b)]),
-            (-sa, [field_value(field, -x) for x in a]),
-            (sa.scale(c), [field_value(field, c * x) for x in a]),
-            (sa.scale(-3), [field_value(field, -3 * x) for x in a]),
-            (sa - sa, [field_value(field, 0)] * n),
-        ):
-            assert list(got.coeffs) == want
-            check_canonical(got)
+        tops, zeros = [top] * n, [zero] * n
+        for x, y in ((a, b), (tops, tops), (tops, a), (a, tops), (a, zeros), (zeros, a), (zeros, zeros)):
+            sx, sy = series(field, x), series(field, y)
+            for got, want in (
+                (sx + sy, [field_value(field, u + v) for u, v in zip(x, y)]),
+                (sx - sy, [field_value(field, u - v) for u, v in zip(x, y)]),
+                (-sx, [field_value(field, -u) for u in x]),
+                (sx - sx, zeros),
+                *((sx.scale(k), [field_value(field, k * u) for u in x]) for k in (c, *scalars)),
+            ):
+                assert list(got.coeffs) == want
+                check_canonical(got)
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
