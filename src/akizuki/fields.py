@@ -5,9 +5,11 @@ the rationals (backed by fractions.Fraction) or the integers modulo a prime.
 Field objects are lightweight immutable descriptors; element values are plain
 Fraction or int objects, always canonical (over F_p an int in [0, p)), so
 zero is falsy and one equals the int 1, and code reads them directly.  A
-descriptor works on single values (make, parse, print, add, negate and
-invert); window arithmetic is the series kernel's (``series._window_mul``),
-which reaches the values through two hooks:
+descriptor works on single values (make, parse, print, add and invert);
+``parse`` reads a coefficient with its sign (``-3/2``), so no descriptor
+negates.  Window arithmetic is the series kernel's (``series._window_mul``,
+which subtracts a term by its own sign), reaching the values through two
+hooks:
 
 - ``to_ints(values)`` gives integers n_i over one common denominator d,
   with the least and the largest n_i (over F_p simply 0 and p - 1, with no
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 from .errors import FormatError, NotInvertibleError, ParseError
 from .value import Value, set_field
@@ -65,23 +68,17 @@ def parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"integer with {len(text)} digits is too long") from None
+        raise ParseError(f"integer with {len(text.lstrip('-'))} digits is too long") from None
 
 
-# Past this many bits the digit count of an integer is only bounded from
-# below: the exact count needs 10^(d-1), which costs more than the integer.
-_EXACT_DIGITS_BITS = 1 << 18
-
-
-def _digit_count(n: int) -> str:
-    """The number of decimal digits of n > 0, as text: exact up to
-    _EXACT_DIGITS_BITS bits, else "more than" a bound from n's bit length."""
-    bits = n.bit_length()
-    if bits > _EXACT_DIGITS_BITS:
-        # n >= 2^(bits-1), and 0.30102999 < log10(2)
-        return f"more than {(bits - 1) * 30102999 // 10**8}"
-    digits = int(bits * math.log10(2)) + 1
-    return str(digits - 1 if n < 10 ** (digits - 1) else digits)
+def _ratio(text: str, bad: str, field) -> tuple[int, int]:
+    """The integers p and q of a stripped coefficient ``p`` or ``p/q`` (q = 1
+    for ``p``, and p may carry a ``-``); other text raises
+    ParseError(bad.format(text, field))."""
+    if not _RATIONAL_RE.match(text):
+        raise ParseError(bad.format(text, field))
+    num, _, den = text.partition("/")
+    return parse_int(num), parse_int(den) if den else 1
 
 
 class RationalField(Value):
@@ -111,9 +108,6 @@ class RationalField(Value):
     def add(self, a, b):
         return a + b
 
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise NotInvertibleError("0 has no inverse")
@@ -137,20 +131,17 @@ class RationalField(Value):
 
     def parse(self, text: str):
         text = text.strip()
-        if not _RATIONAL_RE.match(text):
-            raise ParseError(f"bad rational coefficient {text!r}")
-        num, _, den = text.partition("/")
-        try:
-            return Fraction(parse_int(num), parse_int(den or "1"))
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in coefficient {text!r}") from None
+        num, den = _ratio(text, "bad rational coefficient {!r}", self)
+        if not den:
+            raise ParseError(f"zero denominator in coefficient {text!r}")
+        return Fraction(num, den)
 
     def fmt(self, a) -> str:
         try:
             return str(a)
         except ValueError:  # past Python's limit on int-to-string digits
             raise FormatError(
-                f"a coefficient with {_digit_count(max(abs(a.numerator), a.denominator))} "
+                f"a coefficient with more than {sys.get_int_max_str_digits()} "
                 "digits is too long to print"
             ) from None
 
@@ -187,9 +178,6 @@ class PrimeField(Value):
     def add(self, a, b):
         return (a + b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise NotInvertibleError(f"0 has no inverse mod {self.p}")
@@ -206,18 +194,11 @@ class PrimeField(Value):
 
     def parse(self, text: str):
         text = text.strip()
-        if not _RATIONAL_RE.match(text):
-            raise ParseError(f"bad coefficient {text!r} for {self}")
-        num, _, den = text.partition("/")
-        value = self.from_int(parse_int(num))
-        if den:
-            den = self.from_int(parse_int(den))
-            if not den:
-                raise ParseError(
-                    f"denominator of {text!r} is zero mod {self.p}"
-                )
-            value = value * self.inv(den) % self.p
-        return value
+        num, den = _ratio(text, "bad coefficient {!r} for {}", self)
+        p = self.p
+        if den % p == 0:
+            raise ParseError(f"denominator of {text!r} is zero mod {p}")
+        return num % p if den == 1 else num * pow(den, -1, p) % p
 
     def fmt(self, a) -> str:
         return str(a % self.p)

@@ -48,8 +48,10 @@ def _scan_terms(text: str, field):
         if coeff_text is None and not t:
             raise ParseError(f"expected a term at {s[m.end():]!r}")
         exponent = parse_int(exp) if exp else 1 if t else 0
-        coeff = field.parse(re.sub(r"\s", "", coeff_text)) if coeff_text else field.one()
-        yield exponent, field.neg(coeff) if sign == "-" else coeff
+        if coeff_text:  # the sign is part of the coefficient: "-3/2", not -(3/2)
+            yield exponent, field.parse("".join((sign + coeff_text).lstrip("+").split()))
+        else:
+            yield exponent, field.from_int(-1 if sign == "-" else 1)
         pos = m.end()
 
 

@@ -36,6 +36,8 @@ numbers; the discarded remainder in t^m C_M is never materialized.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import InstanceError, NotInvertibleError, PrecisionError
 from .series import SeriesPair, Terms, TruncatedSeries, dual_invert, dual_mul
 from .value import Value, set_field
@@ -60,12 +62,14 @@ class AkizukiRing:
         live mod t^N.
     exponents:
         Either the string ``"minimal"`` (fastest admissible growth,
-        n_r = 2 n_{r-1} + 2) or an explicit increasing list starting at 0
-        that satisfies the same lower bound.  Exponents are materialized up
-        to the least index R with 2 n_R + 2 >= N, which guarantees that the
+        n_r = 2 n_{r-1} + 2) or an explicit increasing list of integers
+        starting at 0 that satisfies the same lower bound (an entry that is
+        not an integer raises TypeError).  Exponents are materialized up to
+        the least index R with 2 n_R + 2 >= N, which guarantees that the
         relation (w - ŵ)^2 = 0 holds at every level up to N.
     units:
-        The units a_0 .. a_R (ints accepted); defaults to all ones.
+        The units a_0 .. a_R, values of the field (a ``Fraction`` over q)
+        or ints; anything else raises InstanceError.  Defaults to all ones.
 
     Instances are immutable and shareable; all element types keep a
     reference to their ring.  As for ``value.Value``, assigning or deleting
@@ -87,7 +91,7 @@ class AkizukiRing:
             while 2 * ns[-1] + 2 < precision:
                 ns.append(2 * ns[-1] + 2)
         else:
-            ns = [int(n) for n in exponents]
+            ns = [operator.index(n) for n in exponents]
             if not ns or ns[0] != 0:
                 raise InstanceError("the exponent list must start at n_0 = 0")
             for prev, cur in zip(ns, ns[1:]):
@@ -113,6 +117,9 @@ class AkizukiRing:
             us = [field.one()] * count
         else:
             us = [field.from_int(u) if isinstance(u, int) else u for u in units]
+            for u in us:
+                if type(u) is not type(field.zero()):
+                    raise InstanceError(f"unit {u!r} is not a value of {field}")
             if len(us) < count:
                 raise InstanceError(
                     f"need {count} units a_0..a_{count - 1}, got {len(us)}"

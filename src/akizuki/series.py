@@ -445,13 +445,14 @@ def _window_mul(field, n: int, terms) -> list:
     of bytes that holds every operand and the bound of the sum (over F_p
     that follows from p and the window length, with no scan; a short window
     widens it to its lane, see _SHORT_BYTES), plus a sign bit when a value
-    can be negative.  Over F_p none is: a subtracted dense term P enters as
-    M - P, for M the least multiple of p at or above P's bound, and a sparse
-    coefficient c of a subtracted term as p - c.  Signed slots are two's
-    complement, and a negative slot borrows from the slot above: adding
-    ``half`` (the top bit of each of the low n slots) turns those n slots
-    into independent unsigned numbers, and flipping the same bits again
-    makes them two's complement.
+    can be negative.  A subtracted term P, dense or sparse, keeps its
+    coefficients and is subtracted by one rule: over Q it makes the slots
+    signed, and over F_p, where no value is negative, it enters as M - P,
+    for M the least multiple of p at or above P's bound.  Signed slots are
+    two's complement, and a negative slot borrows from the slot above:
+    adding ``half`` (the top bit of each of the low n slots) turns those n
+    slots into independent unsigned numbers, and flipping the same bits
+    again makes them two's complement.
 
     Over F_p a window the short rule does not widen makes no Python call
     per coefficient.  Operands pack from their lanes, by one strided copy
@@ -472,12 +473,12 @@ def _window_mul(field, n: int, terms) -> list:
         d = scale = 1
         operands = (a,) if b is None or type(b) is Terms else (a, b)
         if type(b) is Terms:
-            pairs = [(e, c if sign > 0 else field.neg(c)) for e, c in b if e < n]
+            pairs = [(e, c) for e, c in b if e < n]
             if not pairs:
                 continue
             cs, d, low, _ = field.to_ints([c for _, c in pairs])
             signed |= low < 0
-            sign, scale, b = 1, sum(map(abs, cs)), {}
+            scale, b = sum(map(abs, cs)), {}
             for (e, _), c in zip(pairs, cs):
                 b.setdefault(c, []).append(e)
         for x in operands:

@@ -623,16 +623,15 @@ def test_overlong_coefficient_is_one_line_error(capsys):
     code, out, err = run_cli(capsys, "nf", "2^20000")
     assert code == 1
     assert out == ""
-    assert err == "error: a coefficient with 6021 digits is too long to print\n"
+    assert err == "error: a coefficient with more than 4300 digits is too long to print\n"
 
 
 def test_digit_count_of_a_huge_coefficient_is_bounded_work():
-    # the exact count needs 10^(d-1): 10 s for 2^30000000
+    # the message names Python's limit on digits, so no digit of 2^30000000 is counted
     start = time.perf_counter()
-    with pytest.raises(FormatError, match="^a coefficient with more than 9030899 digits "):
-        RationalField().fmt(Fraction(2**30000000, 3))
-    with pytest.raises(FormatError, match="^a coefficient with 4301 digits "):
-        RationalField().fmt(Fraction(1, 10**4300))
+    for value in (Fraction(2**30000000, 3), Fraction(1, 10**4300)):
+        with pytest.raises(FormatError, match="^a coefficient with more than 4300 digits is too "):
+            RationalField().fmt(value)
     assert time.perf_counter() - start < 2
 
 

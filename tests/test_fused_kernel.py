@@ -278,9 +278,9 @@ def test_sparse_terms_make_no_bignum_product(field, big_products):
     rng = random.Random(f"spy:{field}")
     x, y = (rand_dense(rng, field, 511) for _ in "xy")
     u = ring.w_terms
-    neg_u = Terms((e, field.neg(c)) for e, c in u)
+    neg_u = Terms((e, field.parse(f"-{c}")) for e, c in u)
     assert len(u) == 7
-    terms = ((1, x.coeffs, None), (1, y.coeffs, u), (-1, x.coeffs, neg_u))
+    terms = ((1, x.coeffs, None), (-1, y.coeffs, u), (-1, x.coeffs, neg_u))
     sparse = _window_mul(field, 511, terms)
     assert big_products == []
     dense = _window_mul(field, 511, ((1, x.coeffs, y.coeffs),))

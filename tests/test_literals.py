@@ -1,6 +1,7 @@
 """Literal grammar: parse(print(v)) == v and error reporting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -73,6 +74,23 @@ def test_prime_field_literals():
     with pytest.raises(ParseError):
         parse_series("1/101", F101, 3)  # denominator vanishes mod p
     assert parse_series("102", F101, 3) == parse_series("1", F101, 3)
+
+
+def test_a_sign_is_read_with_its_coefficient():
+    """Each field parses a coefficient together with its sign; a bare t
+    takes the field's +-1.  Errors quote the signed coefficient, and an
+    overlong coefficient or exponent counts its digits without the sign."""
+    assert parse_series("5 - 3/2*t - t^2", QQ, 3).coeffs == (5, Fraction(-3, 2), -1)
+    assert parse_series("+5 - 3 / 2*t - t^2", F101, 3).coeffs == (5, 49, 100)
+    with pytest.raises(ParseError, match=r"^zero denominator in coefficient '-1/0'$"):
+        parse_series("t - 1/0", QQ, 3)
+    with pytest.raises(ParseError, match=r"^denominator of '-1/101' is zero mod 101$"):
+        parse_series("t - 1/101", F101, 3)
+    for field in (QQ, F101):
+        with pytest.raises(ParseError, match=r"^integer with 5000 digits is too long$"):
+            parse_series("t - " + "7" * 5000, field, 3)
+        with pytest.raises(ParseError, match=r"^integer with 5000 digits is too long$"):
+            parse_tail("t^-" + "9" * 5000, field)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""README's CLI quick tour, run in-process through ``cli.main``.
+"""README's two quick tours, run in-process.
 
-Each ``akizuki ...`` line of the tour must exit 0 and print the result
-written beside it or on the comment line below it.  The ``--unit`` example
-is documented as the same product as without the unit, and the selftest
-line as a passing run.
+Each ``akizuki ...`` line of the CLI tour runs through ``cli.main``; it
+must exit 0 and print the result written beside it or on the comment line
+below it.  The ``--unit`` example is documented as the same product as
+without the unit, and the selftest line as a passing run.  The Python tour
+runs as one block; its asserts must hold, and each ``print(...)  # result``
+line must print its result.
 """
 
 import shlex
@@ -57,3 +59,12 @@ def test_tour_command_prints_its_documented_result(capsys, argv, documented):
         assert out.endswith("selftest all: ok")
     else:
         assert out == documented
+
+
+def test_python_tour_prints_its_documented_results(capsys):
+    section = README.read_text().split("## Quick tour (Python)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    documented = [line.split("#", 1)[1].strip() for line in code.splitlines() if line.startswith("print(")]
+    assert len(documented) == 2
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == documented

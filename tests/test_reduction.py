@@ -10,6 +10,13 @@ schoolbook recurrence.  So each result over Q, reduced, must equal the
 result over F_p of the reduced operands, at window lengths (1024 and 2048)
 where no list oracle runs.  Inverses stay at N <= 511, where the Q
 coefficients stay small.
+
+The pair types subtract ŵ times a series as a sparse ``Terms`` term, by
+the same rule as a dense one: M - P over F_p, signed slots over Q.  Their
+rings take positive units that are units mod every p below and reduce to
+neither 1 nor p - 1 for most p, and their operands include series with no
+negative coefficient, so over Q only that subtraction makes a slot
+negative.
 """
 
 import random
@@ -17,12 +24,22 @@ from fractions import Fraction
 
 import pytest
 
-from akizuki import AkizukiRing, PrimeField, RationalField, TruncatedSeries
+from akizuki import (
+    AkizukiRing,
+    CohomologyClass,
+    CompletionElement,
+    ContinuousHom,
+    PrimeField,
+    RationalField,
+    ResiduePair,
+    TruncatedSeries,
+)
 from support import reduce_mod_p
 
 QQ = RationalField()
 PRIMES = [2, 101, 2**61 - 1, 4294967311]
 DENOMINATORS = (1, 3, 5, 7)  # prime to every p above
+UNITS = (1, Fraction(1, 3), 5, Fraction(7, 3), 3, Fraction(1, 7), Fraction(5, 3), 7, Fraction(3, 5), Fraction(1, 5))
 
 
 def rand_q(rng, n, bound, unit=False):
@@ -91,3 +108,81 @@ def test_inverses_and_normal_forms_commute_with_reduction(p, short_results):
         ff, fg = (ring.nf(reduced(h.x, field), reduced(h.y, field)) for h in (f, g))
         for over_q, over_p in ((product, ff * fg), (g_inverse, fg.invert())):
             assert (reduced(over_q.x, field), reduced(over_q.y, field)) == (over_p.x, over_p.y)
+
+
+def ring_over(field, n):
+    """The minimal ring at N = n with the units UNITS, reduced over F_p."""
+    return AkizukiRing(field, n, units=UNITS if field is QQ else reduce_mod_p(UNITS, field.p))
+
+
+def pair_reads(ring, s, r, omega):
+    """What the three pair types give on the series s, r and the class
+    omega, as lists of series: each constructor's stored parts and printed
+    reads, the residue, ``forward`` and the closed completion product.  A
+    hom or tail is read over t^N, where its level cannot differ mod p."""
+    n = ring.precision
+    pair, hom, comp = ResiduePair(ring, s, r), ContinuousHom(ring, s, r), CompletionElement(ring, s, r)
+    product = comp * CompletionElement(ring, r, s)
+    return [
+        [*pair.parts, pair.sigma, pair.rho],
+        [*hom.parts_over(n), *hom.raised(n)],
+        [*comp.parts, comp.rho, comp.sigma],
+        [pair.residue(omega).numerator(n)],
+        list(pair.forward(omega).parts_over(n)),
+        [*product.parts, product.rho, product.sigma],
+    ]
+
+
+@pytest.fixture(scope="module")
+def pair_operands():
+    """Over Q at N = 1024: random series s, r, their magnitudes, and a class
+    of level N, with the reads of ``pair_reads`` on both operand pairs."""
+    rng = random.Random("reduction:pairs")
+    n = 1024
+    ring = ring_over(QQ, n)
+    s, r = rand_q(rng, n, 10**6), rand_q(rng, n, 10**6)
+    plain = [TruncatedSeries(QQ, tuple(map(abs, x.coeffs))) for x in (s, r)]
+    omega = CohomologyClass(ring, rand_q(rng, n, 9), rand_q(rng, n, 9))
+    return [(x, y, omega, pair_reads(ring, x, y, omega)) for x, y in ((s, r), plain)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_pair_types_commute_with_reduction(p, pair_operands):
+    """Constructors and printed reads of ResiduePair, ContinuousHom and
+    CompletionElement, the residue, forward and the closed completion
+    product at N = 1024."""
+    field = PrimeField(p)
+    ring = ring_over(field, 1024)
+    for s, r, omega, over_q in pair_operands:
+        fomega = CohomologyClass(ring, *(reduced(x, field) for x in omega.raised(1024)))
+        over_p = pair_reads(ring, reduced(s, field), reduced(r, field), fomega)
+        assert [[reduced(x, field) for x in row] for row in over_q] == over_p
+
+
+@pytest.fixture(scope="module")
+def pair_inverses():
+    """Over Q at N = 127 and 511: a pair with rho a unit, a hom of level N,
+    and the class the pair's inverse sends it to."""
+    rng = random.Random("reduction:inverse")
+    out = []
+    for n in (127, 511):
+        ring = ring_over(QQ, n)
+        pair = ResiduePair(ring, rand_q(rng, n, 9), rand_q(rng, n, 9, unit=True))
+        hom = ContinuousHom(ring, rand_q(rng, n, 9), rand_q(rng, n, 9))
+        out.append((pair, hom, pair.inverse(hom)))
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_pair_inverse_commutes_with_reduction(p, pair_inverses):
+    """``ResiduePair.inverse`` at N = 127 and 511: the class's stored parts
+    and printed numerators over t^N."""
+    field = PrimeField(p)
+    for pair, hom, omega in pair_inverses:
+        n = pair.precision
+        ring = ring_over(field, n)
+        fpair = ResiduePair(ring, reduced(pair.sigma, field), reduced(pair.rho, field))
+        fhom = ContinuousHom(ring, *(reduced(x, field) for x in hom.raised(n)))
+        got = fpair.inverse(fhom)
+        for over_q, over_p in zip((*omega.parts_over(n), *omega.raised(n)), (*got.parts_over(n), *got.raised(n))):
+            assert reduced(over_q, field) == over_p, n

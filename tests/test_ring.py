@@ -3,6 +3,8 @@
 import copy
 import pickle
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -106,6 +108,22 @@ def test_instance_validation():
         AkizukiRing(QQ, 9, exponents=(0, 4), units=(1, 0))  # zero unit
     with pytest.raises(InstanceError):
         AkizukiRing(QQ, 9, exponents="fancy")
+
+
+@pytest.mark.parametrize(
+    "field, unit",
+    [(PrimeField(5), Fraction(1, 2)), (PrimeField(5), "1"), (QQ, "1"), (QQ, 0.5), (PrimeField(5), 2.0)],
+    ids=repr,
+)
+def test_a_unit_that_is_not_a_field_value_is_rejected(field, unit):
+    with pytest.raises(InstanceError, match=re.escape(f"unit {unit!r} is not a value of {field}")):
+        AkizukiRing(field, 9, exponents=(0, 3, 8), units=(1, unit, 1))
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", 3.0, None])
+def test_an_exponent_that_is_not_an_integer_is_rejected(bad):
+    with pytest.raises(TypeError):
+        AkizukiRing(QQ, 9, exponents=(0, bad, 8))
 
 
 def test_unused_exponent_tail_is_dropped():
