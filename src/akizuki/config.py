@@ -84,14 +84,11 @@ class RingSettings(Value):
             elif key == "exponents":
                 if value == MINIMAL:
                     settings = settings.replace(exponents=MINIMAL)
-                else:
-                    try:
-                        exps = tuple(int(part) for part in value.split(","))
-                    except ValueError as exc:
-                        raise ParseError(
-                            f"config line {lineno}: bad exponent list {value!r}"
-                        ) from exc
-                    settings = settings.replace(exponents=exps)
+                else:  # each exponent by the grammar of precision
+                    parts = [part.strip() for part in value.split(",")]
+                    if not all(re.fullmatch(r"\d+", part) for part in parts):
+                        raise ParseError(f"config line {lineno}: bad exponent list {value!r}")
+                    settings = settings.replace(exponents=tuple(map(parse_int, parts)))
             elif key == "units":
                 parts = tuple(part.strip() for part in value.split(","))
                 if not all(parts):

@@ -13,24 +13,25 @@ of a whole sum of terms +-a b and +-a: each dense window becomes integers
 over one common denominator (1 over F_p), packed once per call into the
 slots of one Python int, so one bignum product (Karatsuba in CPython)
 yields every coefficient of a product, a sparse factor (a ``Terms`` list,
-such as the ring's ŵ) adds a few shifted small multiples of
-a packed operand instead, and the result takes one unpack and one
-reduction.  Slots of up to 8 bytes move through ``array`` lanes by strided
-byte slices, wider ones by one ``int.to_bytes`` and ``int.from_bytes`` per
-value.  Over F_p a long window makes no Python call per coefficient: a
-series caches its values as bytes (``_lanes``), operands pack from them,
-and the sum is reduced mod p on the packed integer, which also yields the
-result's bytes; ``_window_mul`` says how wide a slot is and how.  ``fused``
-is the kernel on series and the only place windows of values combine: a
-product is its one-term case, a sum, difference or negation its terms
-(+-1, a), a scalar multiple one term with the one-pair ``Terms`` ((0, c),),
-and the dual-number helpers, the duality maps and the basis conversion make
-one call per result series.  ``fused`` first screens its terms, so exact 0
-and 1 operands (the standard unit comp(1; 0), the probes gf(1; 0; N), 1 and
-w) stay out of the kernel: a zero factor drops its term, a factor 1 drops
-its product, and a sum left with no term or with the single term +a makes
-no kernel call.  The screens, like every test of a value, read canonical
-values directly: zero is falsy and one equals the int 1.
+such as the ring's ŵ) adds a shifted copy of a packed operand per pair,
+times the pair's coefficient unless 1, and the result takes one unpack and
+one reduction.  Slots of up to 8 bytes move through ``array`` lanes by
+strided byte slices, wider ones by one ``int.to_bytes`` and
+``int.from_bytes`` per value.  Over F_p a long window makes no Python call
+per coefficient: a series caches its values as bytes (``_lanes``), operands
+pack from them, and the sum is reduced mod p on the packed integer, which
+also yields the result's bytes, returned with its values and kept by
+``fused`` on the series it builds; ``_window_mul`` says how wide a slot is
+and how.  ``fused`` is the kernel on series and the only place windows of
+values combine: a product is its one-term case, a sum, difference or
+negation its terms (+-1, a), a scalar multiple one term with the one-pair
+``Terms`` ((0, c),), and the dual-number helpers, the duality maps and the
+basis conversion make one call per result series.  ``fused`` first screens
+its terms, so exact 0 and 1 operands (the standard unit comp(1; 0), the
+probes gf(1; 0; N), 1 and w) stay out of the kernel: a zero factor drops
+its term, a factor 1 drops its product, and a sum left with no term or with
+the single term +a makes no kernel call.  Like every test of a value, the
+screens read canonical values: zero is falsy and one equals the int 1.
 Inversion is Newton iteration g <- g + g (1 - f g) on the same kernel,
 doubling the known window each step, so it costs a few products instead of
 O(N^2) field operations (R. P. Brent and H. T. Kung, "Fast algorithms for
@@ -274,8 +275,8 @@ class TruncatedSeries(Value):
             k += 1
         while k < n:
             step = min(k, n - k)
-            h = _window_mul(field, k + step, ((1, self, g),))[k:]
-            g += _window_mul(field, step, ((-1, g, h),))
+            h = _window_mul(field, k + step, ((1, self, g),))[0][k:]
+            g += _window_mul(field, step, ((-1, g, h),))[0]
             k += step
         return TruncatedSeries(field, tuple(g))
 
@@ -394,7 +395,8 @@ def fused(*terms) -> TruncatedSeries:
     with no kernel call.  Each test stops at the first nonzero coefficient
     of a dense operand, so dense operands pay about nothing for it.  The
     tests read canonical values directly: the zero of either field is
-    falsy and its one equals the int 1.
+    falsy and its one equals the int 1.  Lanes the kernel returns with the
+    values are kept on the result, in ``_lanes``.
     """
     lead = terms[0][1]
     field, n = lead.field, len(lead.coeffs)
@@ -420,39 +422,39 @@ def fused(*terms) -> TruncatedSeries:
         return TruncatedSeries(field, (field.zero(),) * n)
     if len(flat) == 1 and flat[0][0] > 0 and flat[0][2] is None:
         return flat[0][1]
-    window = _window_mul(field, n, flat)
-    if type(window) is not _Window:
-        return TruncatedSeries(field, tuple(window))
-    result = TruncatedSeries(field, tuple(window[:]))  # a plain list converts faster
-    set_field(result, "_lanes", window.lanes)
+    values, lanes = _window_mul(field, n, flat)
+    result = TruncatedSeries(field, tuple(values))
+    if lanes is not None:
+        set_field(result, "_lanes", lanes)
     return result
 
 
-def _window_mul(field, n: int, terms) -> list:
-    """The low n coefficients of a sum of terms over sequences of field values.
+def _window_mul(field, n: int, terms) -> tuple:
+    """(values, lanes): the low n coefficients of a sum of terms over field
+    values, and on the F_p lanes path below their bytes (else None).
 
     A term is (sign, a, b) with sign +1 or -1 and a dense: sign a b for a
     dense b, sign a for b None, and the sum of sign c t^e a over the pairs
-    (e, c) of a ``Terms`` b: one small multiple of a sum of shifted copies
-    of a per distinct c, and none for c = 1.  A dense operand is a sequence
-    of values or a series; its first n values count.  Each becomes integers
-    over one denominator (``field.to_ints``, which also bounds them) and is
-    packed once into a big int, slot i holding the coefficient of t^i, so
-    the product of two packed operands holds the product's coefficients side
-    by side and packed terms add slot by slot.  Each term is scaled to one
-    denominator D for the whole sum (1 over F_p), so the result takes one
-    unpack and one ``field.from_ints``.  A slot is the least whole number
-    of bytes that holds every operand and the bound of the sum (over F_p
-    that follows from p and the window length, with no scan; a short window
-    widens it to its lane, see _SHORT_BYTES), plus a sign bit when a value
-    can be negative.  A subtracted term P, dense or sparse, keeps its
-    coefficients and is subtracted by one rule: over Q it makes the slots
-    signed, and over F_p, where no value is negative, it enters as M - P,
-    for M the least multiple of p at or above P's bound.  Signed slots are
-    two's complement, and a negative slot borrows from the slot above:
-    adding ``half`` (the top bit of each of the low n slots) turns those n
-    slots into independent unsigned numbers, and flipping the same bits
-    again makes them two's complement.
+    (e, c) of a ``Terms`` b: one shifted copy of a per pair, times the
+    integer of c unless that is 1.  A dense operand is a sequence of values
+    or a series; its first n values count.  Each becomes integers over one
+    denominator (``field.to_ints``, which also bounds them), written as slot
+    bytes and packed once into a big int, slot i holding the coefficient of
+    t^i, so the product of two packed operands holds the product's
+    coefficients side by side and packed terms add slot by slot.  Each term
+    is scaled to one denominator D for the whole sum (1 over F_p), so the
+    result takes one unpack and one ``field.from_ints``.  A slot is the
+    least whole number of bytes that holds every operand and the bound of
+    the sum (over F_p that follows from p and the window length, with no
+    scan; a short window widens it to its lane, see _SHORT_BYTES), plus a
+    sign bit when a value can be negative.  A subtracted term P, dense or
+    sparse, keeps its coefficients and is subtracted by one rule: over Q it
+    makes the slots signed, and over F_p, where no value is negative, it
+    enters as M - P, for M the least multiple of p at or above P's bound.
+    Signed slots are two's complement, and a negative slot borrows from the
+    slot above: adding ``half`` (the top bit of each of the low n slots)
+    turns those n slots into independent unsigned numbers, and flipping the
+    same bits again makes them two's complement.
 
     Over F_p a window the short rule does not widen makes no Python call
     per coefficient.  Operands pack from their lanes, by one strided copy
@@ -463,10 +465,10 @@ def _window_mul(field, n: int, terms) -> list:
     with s = b + bitlen(p) and m = ceil(2^s / p) each v_i m fits it and
     floor(v_i m / 2^s) = floor(v_i / p) (T. Granlund and P. Montgomery,
     "Division by invariant integers using multiplication", PLDI 1994).
-    V - p q holds the residues, whose low w bytes are the result's lanes.
+    V - p q holds the residues, whose low w bytes are the returned lanes.
     """
-    ints, dense = {}, {}  # id of a dense operand -> (integers, den, least, largest), and -> itself
-    parts = []  # (sign, a, b, denominator); a sparse b as {integer coefficient: exponents}
+    ints = {}  # id of a dense operand -> (itself, (integers, den, least, largest))
+    parts = []  # (sign, a, b, denominator); a sparse b as Terms of integer coefficients
     top = bound = offset = 0
     signed, den = False, 1  # bound: of the sum so far, over its denominator den
     for sign, a, b in terms:
@@ -478,16 +480,12 @@ def _window_mul(field, n: int, terms) -> list:
                 continue
             cs, d, low, _ = field.to_ints([c for _, c in pairs])
             signed |= low < 0
-            scale, b = sum(map(abs, cs)), {}
-            for (e, _), c in zip(pairs, cs):
-                b.setdefault(c, []).append(e)
+            scale, b = sum(map(abs, cs)), Terms(zip([e for e, _ in pairs], cs))
         for x in operands:
-            key = id(x)
-            got = ints.get(key)
+            got = ints.get(id(x))
             if got is None:
-                dense[key] = x
-                got = ints[key] = field.to_ints((x.coeffs if type(x) is TruncatedSeries else x)[:n])
-            _, dx, low, high = got
+                got = ints[id(x)] = x, field.to_ints((x.coeffs if type(x) is TruncatedSeries else x)[:n])
+            _, (xs, dx, low, high) = got
             if low < 0:
                 signed, high = True, max(high, -low)
             if high > top:
@@ -495,7 +493,7 @@ def _window_mul(field, n: int, terms) -> list:
             d *= dx
             scale *= high
         if len(operands) == 2:  # a coefficient of a b sums at most len(b) products
-            scale *= len(got[0])
+            scale *= len(xs)
         if sign < 0:
             p = field.characteristic
             if p:  # M - P for the least multiple M of p at or above the bound
@@ -511,7 +509,7 @@ def _window_mul(field, n: int, terms) -> list:
             bound = bound * (common // den) + scale * (common // d)
             den = common
     if not parts:
-        return [field.zero()] * n
+        return [field.zero()] * n, None
     bits = max(bound, top).bit_length()
     size = max(1, (bits + signed + 7) // 8)
     w = 0  # bytes per lane: over F_p, in a window the short rule does not widen
@@ -525,20 +523,19 @@ def _window_mul(field, n: int, terms) -> list:
     if signed:
         half = int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * n, "little")
 
-    for key, got in ints.items():  # from here on, ints holds packed operands
-        ints[key] = _pack(_reslot(_lanes(dense[key], got[0], w), w, size) if w else got[0], size, half)
+    for key, (x, (xs, _, _, _)) in ints.items():  # from here on, ints holds packed operands
+        raw = _reslot(_lanes(x, xs, w), w, size) if w else _slot_bytes(xs, size, signed)
+        ints[key] = _pack(raw, size, half)
     total = None
     for sign, a, b, d in parts:
         x = ints[id(a)]
         if b is None:
             term = x
-        elif type(b) is dict:
+        elif type(b) is Terms:
             term = 0
-            for m, exponents in b.items():
-                shifted = 0
-                for e in exponents:
-                    shifted += x << 8 * size * e
-                term += shifted if m == 1 else m * shifted
+            for e, c in b:
+                shifted = x << 8 * size * e
+                term += shifted if c == 1 else c * shifted
         else:
             term = x * ints[id(b)]
         if d != den:
@@ -553,16 +550,9 @@ def _window_mul(field, n: int, terms) -> list:
         total = (total + half) ^ half
     total &= (1 << 8 * width) - 1
     if not w:
-        return field.from_ints(_unpack(total.to_bytes(width, "little"), size, signed), den)
+        return field.from_ints(_unpack(total.to_bytes(width, "little"), size, signed), den), None
     lanes = bytes(_reslot(_reduce(total, n, size, p, bits), size, w))
-    window = _Window(lanes if w == 1 else _unpack(lanes, w, False))
-    window.lanes = lanes
-    return window
-
-
-class _Window(list):
-    """A kernel result over F_p: its values, with their ``lanes``."""
-    __slots__ = ("lanes",)
+    return list(lanes) if w == 1 else _unpack(lanes, w, False), lanes
 
 
 # Slots of at most 8 bytes move through ``array`` lanes: the narrowest
@@ -623,16 +613,14 @@ def _lanes(x, window, w: int):
     return x._lanes[: len(window) * w]
 
 
-def _pack(values, size: int, half: int) -> int:
-    """sum values[i] 2^(8 size i), for integers or their bytes in slots.
+def _pack(raw, size: int, half: int) -> int:
+    """sum v_i 2^(8 size i), for v_i the value in slot i of ``raw``.
 
     ``half`` is 0 for unsigned slots, else the top bit of every slot: then
     slots are two's complement, so each negative one reads 2^(8 size) too
     high, and its sign bit, doubled, is the borrow to take back.
     """
-    if type(values) is not bytes and type(values) is not bytearray:
-        values = _slot_bytes(values, size, half != 0)
-    packed = int.from_bytes(values, "little")
+    packed = int.from_bytes(raw, "little")
     return packed - ((packed & half) << 1) if half else packed
 
 

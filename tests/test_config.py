@@ -80,6 +80,12 @@ def test_from_text_errors():
         "precision",
         "precision = many",
         "exponents = 0,two",
+        # an exponent is read like a precision: decimal digits, no sign or underscore
+        "exponents = 0,+5",
+        "exponents = 0,2_0",
+        "exponents = 0,-5",
+        "exponents = 0,,5",
+        "precision = +40",
         "units = 1,,2",
         "field = zz",
     ):
@@ -96,6 +102,19 @@ def test_from_file(tmp_path):
 def test_overlong_precision_is_parse_error():
     with pytest.raises(ParseError, match="5000 digits"):
         RingSettings.from_text("precision = " + "1" * 5000)
+
+
+def test_exponent_list_parse_error_from_the_cli(tmp_path, capsys):
+    conf = tmp_path / "exps.conf"
+    conf.write_text("exponents = 0, 5 ,20,50\nprecision = 40\n")
+    assert RingSettings.from_file(conf).exponents == (0, 5, 20, 50)
+    assert main(["nf", "w", "--config", str(conf)]) == 0
+    capsys.readouterr()
+    conf.write_text("exponents = 0, +5 ,2_0,50\nprecision = 40\n")
+    assert main(["nf", "w", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: config line 1: bad exponent list '0, +5 ,2_0,50'\n"
 
 
 def test_prime_test_agrees_with_trial_division():

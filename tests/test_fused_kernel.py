@@ -2,8 +2,9 @@
 
 ``series._window_mul`` returns the low coefficients of a whole sum of terms
 +-a*b, +-a and +-a*c for a sparse c, with one unpack and one reduction per
-result.  Normal-form products and inverses, the duality maps, hom
-evaluation and the two completion products all run on it.  Each is checked
+result, as (values, lanes); the tests here read the values.  Normal-form
+products and inverses, the duality maps, hom evaluation and the two
+completion products all run on it.  Each is checked
 here against the closed pair formulas on plain lists in ``support`` (the
 ``check_*`` helpers, with u = ŵ from ``support.closed_u``, which also
 checks that t s_r = ŵ for every admissible r): at full width N = 511 over
@@ -11,7 +12,8 @@ fp:2, fp:101 and fp:2147483647 and N = 127 over q; below full width at
 levels 1 to 3 (where ŵ has no term inside the window) and at level 20
 (where several r are admissible); with zero operands, over a prime above
 2^32 (slots of more than 8 bytes) and on the byte boundary
-where one product fits a slot but a sum of two needs one more byte.  A spy
+where one product fits a slot but a sum of two needs one more byte; random
+sums, and a sparse factor that repeats one coefficient other than 1.  A spy
 on the packed integers shows that sparse terms make no bignum product.  The
 component check shared by the four two-series types is tested last.
 """
@@ -166,13 +168,13 @@ def test_sum_of_two_products_needs_one_more_byte(packs):
     field, n = PrimeField(251), 200
     full = [250] * n
     assert (250**2 * n).bit_length() == 24 and (2 * 250**2 * n).bit_length() == 25
-    one = _window_mul(field, n, ((1, full, full),))
+    one, _ = _window_mul(field, n, ((1, full, full),))
     assert one == naive_mul(full, full, field, n) and packs == [(3, False)]
     packs.clear()
-    two = _window_mul(field, n, ((1, full, full), (1, full, full)))
+    two, _ = _window_mul(field, n, ((1, full, full), (1, full, full)))
     assert two == lin(field, (1, one), (1, one)) and packs == [(4, False)]
     packs.clear()
-    diff = _window_mul(field, n, ((1, full, full), (-1, full, full)))
+    diff, _ = _window_mul(field, n, ((1, full, full), (-1, full, full)))
     assert diff == [0] * n and packs == [(4, False)]
     # the same boundary through the dual-number product: b = a1 y2 + a2 y1
     ring = AkizukiRing(field, n)
@@ -209,12 +211,21 @@ def test_random_sums_of_terms(field):
     for case in range(150):
         n = rng.choice((1, 2, 3, 9, 40, 130))
         terms = random_terms(rng, field, n)
-        got = _window_mul(field, n, terms)
+        got, _ = _window_mul(field, n, terms)
         assert got == naive_sum(field, n, terms), case
         if field == QQ:
             assert all(type(c) is Fraction for c in got)
         else:
             assert all(type(c) is int and 0 <= c < field.p for c in got)
+    # one coefficient other than 1 (1 only over fp:2) at several exponents,
+    # on both sides of the short-window limit (_SHORT_BYTES)
+    c = field.parse("-5/3")
+    for n in (40, 300):
+        repeated = Terms((e, c) for e in (0, 1, 7, n - 1, n + 3))
+        a, b = ([rand_coeff(rng, field) for _ in range(n)] for _ in "ab")
+        terms = [(1, a, repeated), (-1, b, repeated), (1, b, None)]
+        got, _ = _window_mul(field, n, terms)
+        assert got == naive_sum(field, n, terms), n
 
 
 def test_q_sums_with_mixed_denominators_and_signs():
@@ -227,7 +238,7 @@ def test_q_sums_with_mixed_denominators_and_signs():
     thirds = [Fraction(rng.randint(-9, 9), 3) for _ in range(n)]
     sparse = Terms([(0, Fraction(-5, 11)), (3, Fraction(1, 13)), (100, Fraction(2))])
     terms = [(1, halves, sevenths), (-1, thirds, halves), (1, sevenths, None), (-1, thirds, sparse)]
-    assert _window_mul(QQ, n, terms) == naive_sum(QQ, n, terms)
+    assert _window_mul(QQ, n, terms)[0] == naive_sum(QQ, n, terms)
 
 
 # ----------------------------------------------------------------------
@@ -281,9 +292,9 @@ def test_sparse_terms_make_no_bignum_product(field, big_products):
     neg_u = Terms((e, field.parse(f"-{c}")) for e, c in u)
     assert len(u) == 7
     terms = ((1, x.coeffs, None), (-1, y.coeffs, u), (-1, x.coeffs, neg_u))
-    sparse = _window_mul(field, 511, terms)
+    sparse, _ = _window_mul(field, 511, terms)
     assert big_products == []
-    dense = _window_mul(field, 511, ((1, x.coeffs, y.coeffs),))
+    dense, _ = _window_mul(field, 511, ((1, x.coeffs, y.coeffs),))
     assert len(big_products) == 1
     assert sparse == naive_sum(field, 511, terms) and dense == naive_mul(x.coeffs, y.coeffs, field, 511)
     # the two constructors and the closed completion product: two sparse

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from akizuki import (
+    AkizukiRing,
     LaurentTail,
     ParseError,
     PrimeField,
@@ -18,6 +19,7 @@ from akizuki import (
     parse_tail,
 )
 from support import (
+    RING_P2,
     RING_P101,
     RING_Q,
     rand_comp,
@@ -29,6 +31,15 @@ from support import (
 
 QQ = RationalField()
 F101 = PrimeField(101)
+ROUNDTRIP_RINGS = {
+    "q": RING_Q,
+    "fp:101": RING_P101,
+    "fp:2": RING_P2,
+    "fp:2147483647": AkizukiRing(PrimeField(2147483647), 31),
+    # the explicit ring of test_properties: printing and parsing convert
+    # through a ŵ whose coefficients are not all 1
+    "q-explicit": AkizukiRing(QQ, 40, exponents=(0, 5, 20, 50), units=(1, -2, 3, 5)),
+}
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +158,9 @@ def test_composite_errors():
 # round-trips over both coefficient fields
 
 
-@pytest.mark.parametrize("ring", [RING_Q, RING_P101], ids=lambda r: str(r.field))
-def test_print_parse_roundtrip(ring):
+@pytest.mark.parametrize("name", ROUNDTRIP_RINGS)
+def test_print_parse_roundtrip(name):
+    ring = ROUNDTRIP_RINGS[name]
     rng = random.Random(47)
     field = ring.field
     for _ in range(40):

@@ -9,7 +9,12 @@ reduced mod p on the packed integer, and inversion started from the
 schoolbook recurrence.  So each result over Q, reduced, must equal the
 result over F_p of the reduced operands, at window lengths (1024 and 2048)
 where no list oracle runs.  Inverses stay at N <= 511, where the Q
-coefficients stay small.
+coefficients stay small: the product composed through a dense unit runs at
+N = 127 and the expression evaluator at levels 127 and 511, while the class
+action and the product composed through the standard unit run at N = 1024.
+Their operands are built over F_p from the reduced printed series, not
+from reads of the Q values, so a conversion between the bases that errs
+over Q both ways still shows.
 
 The pair types subtract ŵ times a series as a sparse ``Terms`` term, by
 the same rule as a dense one: M - P over F_p, signed slots over Q.  Their
@@ -33,6 +38,8 @@ from akizuki import (
     RationalField,
     ResiduePair,
     TruncatedSeries,
+    eval_nf,
+    parse_expression,
 )
 from support import reduce_mod_p
 
@@ -186,3 +193,67 @@ def test_pair_inverse_commutes_with_reduction(p, pair_inverses):
         got = fpair.inverse(fhom)
         for over_q, over_p in zip((*omega.parts_over(n), *omega.raised(n)), (*got.parts_over(n), *got.raised(n))):
             assert reduced(over_q, field) == over_p, n
+
+
+@pytest.fixture(scope="module")
+def action_and_composed():
+    """Over Q at N = 1024: the printed series of a class omega, a normal
+    form f and two completion elements a, b; the class f acts omega to, and
+    the product of a and b composed through the standard unit comp(1; 0)."""
+    rng = random.Random("reduction:act")
+    n = 1024
+    ring = ring_over(QQ, n)
+    s = [rand_q(rng, n, 10**6) for _ in range(8)]
+    omega, f = CohomologyClass(ring, *s[:2]), ring.nf(*s[2:4])
+    a, b = CompletionElement(ring, *s[4:6]), CompletionElement(ring, *s[6:])
+    return s, omega.act(f), a.mul_via_composition(b, CompletionElement.one(ring))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_action_and_composed_product_commute_with_reduction(p, action_and_composed):
+    """``CohomologyClass.act`` and the composed completion product with the
+    standard unit at N = 1024: stored parts and printed series, from
+    operands built over F_p from the reduced printed series."""
+    field, n = PrimeField(p), 1024
+    series, acted, composed = action_and_composed
+    ring = ring_over(field, n)
+    s = [reduced(x, field) for x in series]
+    got = CohomologyClass(ring, *s[:2]).act(ring.nf(*s[2:4]))
+    for over_q, over_p in zip((*acted.parts_over(n), *acted.raised(n)), (*got.parts_over(n), *got.raised(n))):
+        assert reduced(over_q, field) == over_p
+    got = CompletionElement(ring, *s[4:6]).mul_via_composition(CompletionElement(ring, *s[6:]), CompletionElement.one(ring))
+    assert [reduced(x, field) for x in (*composed.parts, composed.rho, composed.sigma)] == [*got.parts, got.rho, got.sigma]
+
+
+EXPRESSION = "(1 + t*w)^5 / (1 - t/3 + w*g1) - g0^2"
+
+
+@pytest.fixture(scope="module")
+def short_composed_and_expression():
+    """Over Q: at N = 127 the printed series of two completion elements
+    and a dense unit, and the product composed through it; at levels 127
+    and 511 the normal form of EXPRESSION."""
+    rng = random.Random("reduction:composed")
+    ring = ring_over(QQ, 127)
+    s = [rand_q(rng, 127, 9, unit=i == 4) for i in range(6)]
+    a, b, unit = (CompletionElement(ring, *s[i : i + 2]) for i in (0, 2, 4))
+    tree = parse_expression(EXPRESSION)
+    forms = [eval_nf(tree, ring_over(QQ, 511), level) for level in (127, 511)]
+    return s, a.mul_via_composition(b, unit), forms
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_composed_product_and_expression_commute_with_reduction(p, short_composed_and_expression):
+    """The composed completion product relative to a dense unit at N = 127,
+    and ``eval_nf`` of EXPRESSION at levels 127 and 511."""
+    field = PrimeField(p)
+    series, composed, forms = short_composed_and_expression
+    ring = ring_over(field, 127)
+    s = [reduced(x, field) for x in series]
+    fa, fb, funit = (CompletionElement(ring, *s[i : i + 2]) for i in (0, 2, 4))
+    got = fa.mul_via_composition(fb, funit)
+    assert [reduced(x, field) for x in (*composed.parts, composed.rho, composed.sigma)] == [*got.parts, got.rho, got.sigma]
+    tree, ring = parse_expression(EXPRESSION), ring_over(field, 511)
+    for form in forms:
+        got = eval_nf(tree, ring, form.level)
+        assert (reduced(form.x, field), reduced(form.y, field)) == (got.x, got.y), form.level
