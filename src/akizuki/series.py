@@ -15,14 +15,16 @@ slots of one Python int, so one bignum product (Karatsuba in CPython)
 yields every coefficient of a product, a sparse factor (a ``Terms`` list,
 such as the ring's ŵ) adds a shifted copy of a packed operand per pair,
 times the pair's coefficient unless 1, and the result takes one unpack and
-one reduction.  Slots of up to 8 bytes move through ``array`` lanes by
-strided byte slices, wider ones by one ``int.to_bytes`` and
-``int.from_bytes`` per value.  Over F_p a long window makes no Python call
-per coefficient: a series caches its values as bytes (``_lanes``), operands
-pack from them, and the sum is reduced mod p on the packed integer, which
-also yields the result's bytes, returned with its values and kept by
-``fused`` on the series it builds; ``_window_mul`` says how wide a slot is
-and how.  ``fused`` is the kernel on series and the only place windows of
+one reduction.  From ``_TWO_POINT_BYTES`` packed bytes on, a product is
+formed at t = 2^h and -2^h, h half a slot (Harvey's KS2): two bignum
+products of half the length, whose half sum and half difference hold the
+even- and the odd-indexed coefficients.  Slots of up to 8 bytes move
+through ``array`` lanes by strided byte slices, wider ones by one
+``int.to_bytes`` and ``int.from_bytes`` per value.  Over F_p a long window
+makes no Python call per coefficient: a series caches its values as bytes
+(``_lanes``), operands pack from them, and the sum is reduced mod p on the
+packed integer, which also yields the result's bytes, kept by ``fused`` and
+Newton.  ``fused`` is the kernel on series and the only place windows of
 values combine: a product is its one-term case, a sum, difference or
 negation its terms (+-1, a), a scalar multiple one term with the one-pair
 ``Terms`` ((0, c),), and the dual-number helpers, the duality maps and the
@@ -273,12 +275,21 @@ class TruncatedSeries(Value):
         while p and k < min(n, _NEWTON_FROM):  # g_k = -(f_1 g_(k-1) + ... + f_k g_0) / f_0
             g.append((p - g[0]) * sum(map(operator.mul, f[1 : k + 1], reversed(g))) % p)
             k += 1
-        while k < n:
+        coeffs = g = tuple(g)
+        while k < n:  # over F_p, h and g keep the lanes of the products that give them
             step = min(k, n - k)
-            h = _window_mul(field, k + step, ((1, self, g),))[0][k:]
-            g += _window_mul(field, step, ((-1, g, h),))[0]
+            values, lanes = _window_mul(field, k + step, ((1, self, g),))
+            h = values[k:]
+            if lanes:
+                h = TruncatedSeries(field, tuple(h))
+                set_field(h, "_lanes", lanes[len(lanes) // (k + step) * k :])
+            values, lanes = _window_mul(field, step, ((-1, g, h),))
+            cached, coeffs = lanes and getattr(g, "_lanes", None), coeffs + tuple(values)
+            g = TruncatedSeries(field, coeffs) if p else coeffs
+            if cached:
+                set_field(g, "_lanes", cached + lanes)
             k += step
-        return TruncatedSeries(field, tuple(g))
+        return g if type(g) is TruncatedSeries else TruncatedSeries(field, g)
 
     # ------------------------------------------------------------------
     # principal parts
@@ -466,6 +477,12 @@ def _window_mul(field, n: int, terms) -> tuple:
     floor(v_i m / 2^s) = floor(v_i / p) (T. Granlund and P. Montgomery,
     "Division by invariant integers using multiplication", PLDI 1994).
     V - p q holds the residues, whose low w bytes are the returned lanes.
+
+    From ``_TWO_POINT_BYTES`` packed bytes on (more than a window the short
+    rule widens holds), a sum with a dense product takes t = 2^h and -2^h,
+    h half a slot (Harvey's KS2): E + 2^h O and E - 2^h O for an operand's
+    even- and odd-indexed values E and O; of the sums P and M, (P + M) / 2
+    and (P - M) / 2^(h + 1) hold the two halves.
     """
     ints = {}  # id of a dense operand -> (itself, (integers, den, least, largest))
     parts = []  # (sign, a, b, denominator); a sparse b as Terms of integer coefficients
@@ -512,43 +529,62 @@ def _window_mul(field, n: int, terms) -> tuple:
         return [field.zero()] * n, None
     bits = max(bound, top).bit_length()
     size = max(1, (bits + signed + 7) // 8)
-    w = 0  # bytes per lane: over F_p, in a window the short rule does not widen
+    w = two = 0  # bytes per lane: over F_p, in a window the short rule does not widen; two: see above
     if size <= _LANE and n * _LANE_BYTES[size] <= _SHORT_BYTES:
         size = _LANE_BYTES[size]
     else:
         p = field.characteristic
         w = p and ((p - 1).bit_length() + 7) // 8
+        two = n * size >= _TWO_POINT_BYTES and any(b is not None and type(b) is not Terms for _, _, b, _ in parts)
     width = n * size
     half = 0
     if signed:
         half = int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * n, "little")
-
-    for key, (x, (xs, _, _, _)) in ints.items():  # from here on, ints holds packed operands
-        raw = _reslot(_lanes(x, xs, w), w, size) if w else _slot_bytes(xs, size, signed)
-        ints[key] = _pack(raw, size, half)
-    total = None
-    for sign, a, b, d in parts:
-        x = ints[id(a)]
-        if b is None:
-            term = x
-        elif type(b) is Terms:
-            term = 0
-            for e, c in b:
-                shifted = x << 8 * size * e
-                term += shifted if c == 1 else c * shifted
-        else:
-            term = x * ints[id(b)]
-        if d != den:
-            term *= den // d
-        if total is None:  # no copy of the first term
-            total = term if sign > 0 else -term
-        else:
-            total = total + term if sign > 0 else total - term
-    if offset:
-        total += int.from_bytes(offset.to_bytes(size, "little") * n, "little")
-    if signed:
-        total = (total + half) ^ half
-    total &= (1 << 8 * width) - 1
+    shift, points, total = 8 * size, (ints,), None  # bits per slot at t = 2^shift; the packed operands at each point
+    if two:  # E + 2^shift O at 2^shift and E - 2^shift O at -2^shift, for E and O the even- and the odd-indexed values
+        shift, points, low = 4 * size, (ints, {}), n - n // 2  # low: the slots of E
+        for key, (x, (xs, _, _, _)) in ints.items():
+            lanes = w and _lanes(x, xs, w)  # no comprehension here: it would make these locals cells for the whole function
+            even = _pack(_reslot(_reslot(lanes, 2 * w, w), w, size) if w else _slot_bytes(xs[::2], size, signed), size, half)
+            odd = _pack(_reslot(_reslot(lanes[w:], 2 * w, w), w, size) if w else _slot_bytes(xs[1::2], size, signed), size, half) << shift
+            ints[key], points[1][key] = even + odd, even - odd
+    else:
+        for key, (x, (xs, _, _, _)) in ints.items():  # from here on, ints holds packed operands
+            raw = _reslot(_lanes(x, xs, w), w, size) if w else _slot_bytes(xs, size, signed)
+            ints[key] = _pack(raw, size, half)
+    for packed in points:  # with two points, P and then M
+        plus, total = total, None
+        for sign, a, b, d in parts:
+            x = packed[id(a)]
+            if b is None:
+                term = x
+            elif type(b) is Terms:
+                term = 0
+                for e, c in b:  # (-2^shift)^e = -2^(shift e) for an odd e
+                    shifted = x << shift * e if c == 1 else c * (x << shift * e)
+                    term = term - shifted if e & 1 and packed is not ints else term + shifted
+            else:
+                term = x * packed[id(b)]
+            if d != den:
+                term *= den // d
+            if total is None:  # no copy of the first term
+                total = term if sign > 0 else -term
+            else:
+                total = total + term if sign > 0 else total - term
+    # each slot takes the offset of M - P over F_p, or when signed its top bit, flipped back after the cut
+    fill = (offset and int.from_bytes(offset.to_bytes(size, "little") * n, "little")) + half
+    if two:  # E = (P + M) / 2 and O = (P - M) / 2^(shift + 1), each cut to its own slots
+        even = (plus + total >> 1) + fill & (1 << 8 * size * low) - 1
+        total = (even | ((plus - total >> shift + 1) + fill & (1 << 8 * size * (n // 2)) - 1) << 8 * size * low) ^ half
+        if not w:  # E's values, then O's, put in order
+            values = _unpack(total.to_bytes(width, "little"), size, signed)
+            values[::2], values[1::2] = values[:low], values[low:]
+            return field.from_ints(values, den), None
+        old, lanes, cut = _reslot(_reduce(total, n, size, p, bits), size, w), bytearray(n * w), low * w
+        for j in range(w):  # strided copies interleave E's lanes and O's
+            lanes[j :: 2 * w], lanes[w + j :: 2 * w] = old[j:cut:w], old[cut + j :: w]
+        return (list(lanes) if w == 1 else _unpack(lanes, w, False)), bytes(lanes)
+    total = (total + fill & (1 << 8 * width) - 1) ^ half
     if not w:
         return field.from_ints(_unpack(total.to_bytes(width, "little"), size, signed), den), None
     lanes = bytes(_reslot(_reduce(total, n, size, p, bits), size, w))
@@ -568,6 +604,10 @@ _LANE = 8
 # 5-byte slots near 32).  Longer windows keep the least slot width, over
 # F_p with operands packed from lanes (see _window_mul).
 _SHORT_BYTES = 256
+# From this many packed bytes (n times the slot width) on, a sum with a dense
+# product takes two points.  Per product, two against one at 768/1024/1536 B:
+# F_101 x0.98/0.91/0.85, F_(2^31-1) x1.12/1.01/0.90, Q x1.03/1.01/0.99.
+_TWO_POINT_BYTES = 1024
 # Over F_p, invert takes this many coefficients from the recurrence (measured).
 _NEWTON_FROM = 16
 _SWAP = sys.byteorder != "little"
@@ -584,7 +624,7 @@ def _reslot(raw, old: int, new: int):
         return raw
     if new == 1:
         return raw[::old]
-    out = bytearray(len(raw) // old * new)
+    out = bytearray(-(-len(raw) // old) * new)
     for k in range(min(old, new)):
         out[k::new] = raw[k::old]
     return out

@@ -284,7 +284,7 @@ def big_products(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [PrimeField(101), QQ], ids=str)
-def test_sparse_terms_make_no_bignum_product(field, big_products):
+def test_sparse_terms_make_no_bignum_product(field, big_products, monkeypatch):
     ring = AkizukiRing(field, 511)
     rng = random.Random(f"spy:{field}")
     x, y = (rand_dense(rng, field, 511) for _ in "xy")
@@ -294,14 +294,21 @@ def test_sparse_terms_make_no_bignum_product(field, big_products):
     terms = ((1, x.coeffs, None), (-1, y.coeffs, u), (-1, x.coeffs, neg_u))
     sparse, _ = _window_mul(field, 511, terms)
     assert big_products == []
+    # a dense product this long takes two points: two bignum products, each
+    # of half the bits of the one product at one point
     dense, _ = _window_mul(field, 511, ((1, x.coeffs, y.coeffs),))
-    assert len(big_products) == 1
+    two = akizuki.series._TWO_POINT_BYTES
+    monkeypatch.setattr(akizuki.series, "_TWO_POINT_BYTES", float("inf"))
+    assert _window_mul(field, 511, ((1, x.coeffs, y.coeffs),))[0] == dense
+    monkeypatch.setattr(akizuki.series, "_TWO_POINT_BYTES", two)
+    *halves, (whole, _) = big_products
+    assert len(halves) == 2 and all(abs(2 * bits - whole) < whole // 100 for pair in halves for bits in pair)
     assert sparse == naive_sum(field, 511, terms) and dense == naive_mul(x.coeffs, y.coeffs, field, 511)
     # the two constructors and the closed completion product: two sparse
-    # conversions, then two kernel calls with three bignum products
+    # conversions, then two kernel calls with three products at two points
     big_products.clear()
     CompletionElement(ring, x, y) * CompletionElement(ring, y, x)
-    assert len(big_products) == 3
+    assert len(big_products) == 6
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,34 @@ def test_operands_pack_only_their_window(monkeypatch):
     assert len(windows) > 4 and all(max(slots) <= n for n, slots in windows)
 
 
+def test_newton_keeps_its_lanes(monkeypatch):
+    """Over F_p each Newton step keeps the lanes of the products it makes:
+    in (f g)^-1 at N = 511 over F_101 no operand packs from a plain list,
+    and the inverse i of the stored part comes back with its lanes, so
+    i * i packs from them.  Only g after the short-window steps, at 64 and
+    128 values, has none yet."""
+    seen, lanes = [], akizuki.series._lanes
+
+    def spy(x, window, w):
+        cached = type(x) is TruncatedSeries and getattr(x, "_lanes", None) is not None
+        seen.append((type(x) is TruncatedSeries, cached, len(window)))
+        return lanes(x, window, w)
+
+    field, rng = PrimeField(101), random.Random("newton lanes")
+    ring = AkizukiRing(field, 511)
+    f = ring.nf(rand_dense(rng, field, 511, unit=True), rand_dense(rng, field, 511))
+    g = ring.nf(rand_dense(rng, field, 511, unit=True), rand_dense(rng, field, 511))
+    product = f * g
+    monkeypatch.setattr(akizuki.series, "_lanes", spy)
+    inverse = product.invert()
+    monkeypatch.undo()
+    assert all(series for series, _, _ in seen)
+    assert [m for _, cached, m in seen if not cached] == [64, 128]
+    check_nf(ring, product, inverse)
+    unit = rand_dense(rng, field, 511, unit=True)
+    assert check_lanes(unit.invert())
+
+
 @pytest.mark.parametrize("p", [101, 2**31 - 1])
 def test_every_layer_result_decodes_to_its_values(p):
     field, n = PrimeField(p), 200

@@ -41,9 +41,11 @@ from akizuki import (
     eval_nf,
     parse_expression,
 )
+import akizuki.series
 from support import reduce_mod_p
 
 QQ = RationalField()
+LIBRARY_CROSSOVER = akizuki.series._TWO_POINT_BYTES
 PRIMES = [2, 101, 2**61 - 1, 4294967311]
 DENOMINATORS = (1, 3, 5, 7)  # prime to every p above
 UNITS = (1, Fraction(1, 3), 5, Fraction(7, 3), 3, Fraction(1, 7), Fraction(5, 3), 7, Fraction(3, 5), Fraction(1, 5))
@@ -87,6 +89,72 @@ def test_sums_scaling_and_products_commute_with_reduction(p, long_operands):
                 (x * y, fx * fy),
             ):
                 assert reduced(over_q, field) == over_p, x.precision
+
+
+def product_slot(p, n):
+    """Bytes per slot of a product of two full windows of length n over F_p
+    (the kernel bounds every value by p - 1)."""
+    return -(-((p - 1) ** 2 * n).bit_length() // 8)
+
+
+def crossover_windows(p):
+    """The window lengths just below, at and just above the first whose
+    product over F_p takes two points."""
+    n = 1
+    while n * product_slot(p, n) < akizuki.series._TWO_POINT_BYTES:
+        n += 1
+    return n - 1, n, n + 1
+
+
+# (p, crossover): product slots of 2, 3, 4, 9 and 16 bytes at the library's
+# crossover, and of 1 byte, which no window of it reaches, at a lowered one.
+CROSSOVER_CASES = [(2, 128), (2, None), (101, None), (1021, None), (4294967311, None), (2**61 - 1, None)]
+
+
+@pytest.mark.parametrize("p, crossover", CROSSOVER_CASES)
+def test_products_at_the_two_point_crossover_commute_with_reduction(p, crossover, monkeypatch):
+    """Products and squares of random operands and of operands with every
+    coefficient p - 1, over odd and even windows on both sides of the
+    crossover."""
+    if crossover:  # below the short-window limit, which then must not widen the window
+        monkeypatch.setattr(akizuki.series, "_TWO_POINT_BYTES", crossover)
+        monkeypatch.setattr(akizuki.series, "_SHORT_BYTES", 0)
+    field, rng = PrimeField(p), random.Random(f"reduction:crossover:{p}:{crossover}")
+    for n in crossover_windows(p):
+        x, y = rand_q(rng, n, 10**3), rand_q(rng, n, 10**3)
+        top = TruncatedSeries(QQ, (Fraction(p - 1),) * n)
+        fx, fy, ftop = (reduced(a, field) for a in (x, y, top))
+        for over_q, over_p in ((x * y, fx * fy), (x * x, fx * fx), (top * top, ftop * ftop), (x * top, fx * ftop)):
+            assert reduced(over_q, field) == over_p, n
+
+
+def test_crossover_cases_cover_every_slot_width(monkeypatch):
+    widths = set()
+    for p, crossover in CROSSOVER_CASES:
+        monkeypatch.setattr(akizuki.series, "_TWO_POINT_BYTES", crossover or LIBRARY_CROSSOVER)
+        below, at, above = crossover_windows(p)
+        assert below * product_slot(p, below) < akizuki.series._TWO_POINT_BYTES <= at * product_slot(p, at)
+        widths.add(product_slot(p, at))
+    assert widths == {1, 2, 3, 4, 9, 16}
+
+
+@pytest.fixture(scope="module")
+def long_products():
+    """Over Q: at N = 4095 two series x, y with x y and x^2, and at N = 8192
+    two series with their product."""
+    rng = random.Random("reduction:8192")
+    x, y = rand_q(rng, 4095, 99), rand_q(rng, 4095, 99)
+    u, v = rand_q(rng, 8192, 99), rand_q(rng, 8192, 99)
+    return [(x, y, x * y), (x, x, x * x), (u, v, u * v)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_products_up_to_8192_commute_with_reduction(p, long_products):
+    field = PrimeField(p)
+    for x, y, over_q in long_products:
+        fx = reduced(x, field)
+        fy = fx if y is x else reduced(y, field)
+        assert reduced(over_q, field) == fx * fy, x.precision
 
 
 @pytest.fixture(scope="module")
@@ -142,26 +210,30 @@ def pair_reads(ring, s, r, omega):
 
 @pytest.fixture(scope="module")
 def pair_operands():
-    """Over Q at N = 1024: random series s, r, their magnitudes, and a class
-    of level N, with the reads of ``pair_reads`` on both operand pairs."""
+    """Over Q at N = 1024: random series s, r, their magnitudes, and the
+    printed numerators of a class of level N, with the reads of
+    ``pair_reads`` on both operand pairs."""
     rng = random.Random("reduction:pairs")
     n = 1024
     ring = ring_over(QQ, n)
     s, r = rand_q(rng, n, 10**6), rand_q(rng, n, 10**6)
     plain = [TruncatedSeries(QQ, tuple(map(abs, x.coeffs))) for x in (s, r)]
-    omega = CohomologyClass(ring, rand_q(rng, n, 9), rand_q(rng, n, 9))
-    return [(x, y, omega, pair_reads(ring, x, y, omega)) for x, y in ((s, r), plain)]
+    numerators = rand_q(rng, n, 9), rand_q(rng, n, 9)
+    omega = CohomologyClass(ring, *numerators)
+    return [(x, y, numerators, pair_reads(ring, x, y, omega)) for x, y in ((s, r), plain)]
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_pair_types_commute_with_reduction(p, pair_operands):
     """Constructors and printed reads of ResiduePair, ContinuousHom and
     CompletionElement, the residue, forward and the closed completion
-    product at N = 1024."""
+    product at N = 1024.  The class over F_p is built from the reduced
+    printed numerators, so no Q value read through the basis conversion
+    enters the F_p side."""
     field = PrimeField(p)
     ring = ring_over(field, 1024)
-    for s, r, omega, over_q in pair_operands:
-        fomega = CohomologyClass(ring, *(reduced(x, field) for x in omega.raised(1024)))
+    for s, r, numerators, over_q in pair_operands:
+        fomega = CohomologyClass(ring, *(reduced(x, field) for x in numerators))
         over_p = pair_reads(ring, reduced(s, field), reduced(r, field), fomega)
         assert [[reduced(x, field) for x in row] for row in over_q] == over_p
 

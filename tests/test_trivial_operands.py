@@ -182,13 +182,16 @@ def test_composition_with_dense_units_matches_the_closed_product(name):
 
 
 def test_packs_per_product_at_511(packs):
-    """Operands packed per product, on the stored parts (a, y): the closed
-    product packs a1 a2 and a1 y2 + a2 y1 (6); the normal-form product plus
-    inverse adds Newton on a (19), i * i and y i^2 (29); and the composed
-    product relative to comp(1; 0) packs only the left factor's forward map
-    on the class it extracts (6), since the probe and the unit screen out.
-    Over F_p Newton inversion starts at 16 coefficients, so the inverse
-    skips the steps at 1, 2, 4 and 8."""
+    """Operands packed per product, on the stored parts (a, y).  A product
+    at N = 511 fills at least 1533 bytes, past ``_TWO_POINT_BYTES``, so each
+    of its operands packs twice, as its even- and its odd-indexed values.
+    The closed product packs a1 a2 and a1 y2 + a2 y1 (6 operands, 12
+    packs); the normal-form product plus inverse adds Newton on a (22: one
+    pack per operand at windows of 16 to 256 and 255, two at 511), i * i
+    and y i^2 (40); and the composed product relative to comp(1; 0) packs
+    only the left factor's forward map on the class it extracts (12), since
+    the probe and the unit screen out.  Over F_p Newton inversion starts at
+    16 coefficients, so the inverse skips the steps at 1, 2, 4 and 8."""
     ring = RINGS["fp101-511"]
     rng = random.Random("packs")
     a, b = comp(rng, ring), comp(rng, ring)
@@ -203,4 +206,4 @@ def test_packs_per_product_at_511(packs):
         packs.clear()
         product()
         counts.append(len(packs))
-    assert counts == [6, 29, 6]
+    assert counts == [12, 40, 12]
